@@ -16,10 +16,7 @@ from .corner import (
     build_index,
     build_lmax,
     build_lmin,
-    dominates_max,
-    dominates_min,
     index_from_rle,
-    length_tables,
     lmax_candidates,
     lmin_candidates,
 )
@@ -83,14 +80,11 @@ __all__ = [
     "coin_string",
     "decode",
     "deserialize",
-    "dominates_max",
-    "dominates_min",
     "encode",
     "file_size",
     "geometric_run_string",
     "index_from_rle",
     "lemma1_witness_check",
-    "length_tables",
     "lmax_candidates",
     "lmin_candidates",
     "load_index",

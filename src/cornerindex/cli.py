@@ -12,9 +12,8 @@ import random
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
-from .corner import CornerIndex, build_index
+from .corner import build_index, index_from_rle
 from .oracle import (
     DEFAULT_MAX_TEXT,
     TextTooLongError,
@@ -77,7 +76,7 @@ def cmd_build(args) -> int:
     text = _read_text(args.input, args.alphabet)
     t0 = time.perf_counter()
     rle = encode(text)
-    index = build_index(text)
+    index = index_from_rle(rle)
     elapsed = time.perf_counter() - t0
     save_index(index, args.index)
     _emit(
@@ -211,11 +210,12 @@ def cmd_experiment(args) -> int:
                 texts.append(coin_string(rng, args.length))
     rows = []
     for text in texts:
-        index = build_index(text)
+        rle = encode(text)
+        index = index_from_rle(rle)
         rows.append(
             (
                 index.n,
-                rho(encode(text)),
+                rho(rle),
                 len(index.l_min),
                 len(index.l_max),
                 index.peak_min,
@@ -252,18 +252,6 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
-def _bench_worker(index: CornerIndex, queries) -> tuple[list[int], int]:
-    timer = time.perf_counter_ns
-    latencies = []
-    hits = 0
-    for x, y in queries:
-        t0 = timer()
-        if index.query(x, y):
-            hits += 1
-        latencies.append(timer() - t0)
-    return latencies, hits
-
-
 def cmd_bench(args) -> int:
     index = load_index(args.index)
     rng = random.Random(args.seed)
@@ -271,17 +259,17 @@ def cmd_bench(args) -> int:
         (rng.randint(0, index.total_a), rng.randint(0, index.total_b))
         for _ in range(args.count)
     ]
+    timer = time.perf_counter_ns
+    latencies = []
+    hits = 0
     t0 = time.perf_counter()
-    if args.threads <= 1 or not queries:
-        results = [_bench_worker(index, queries)]
-    else:
-        chunk = (len(queries) + args.threads - 1) // args.threads
-        batches = [queries[i : i + chunk] for i in range(0, len(queries), chunk)]
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(lambda b: _bench_worker(index, b), batches))
+    for x, y in queries:
+        q0 = timer()
+        if index.query(x, y):
+            hits += 1
+        latencies.append(timer() - q0)
     wall = time.perf_counter() - t0
-    latencies = sorted(ns for lats, _ in results for ns in lats)
-    hits = sum(h for _, h in results)
+    latencies.sort()
 
     def pct(p: float) -> float:
         if not latencies:
@@ -291,7 +279,6 @@ def cmd_bench(args) -> int:
 
     fields = [
         ("queries", len(queries)),
-        ("threads", args.threads),
         ("occurs", hits),
         ("not_occurs", len(queries) - hits),
         ("p50_us", f"{pct(50):.3f}"),
@@ -341,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pnf", help="print both prefix normal forms")
     p.add_argument("--input", help="text file, or - for stdin")
     p.add_argument("--index", help="previously built index")
-    _add_common(p, "alphabet", "format")
+    _add_common(p, "alphabet")
     p.set_defaults(func=cmd_pnf)
 
     p = sub.add_parser("verify", help="cross-check the index against brute force")
@@ -367,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time random queries against an index")
     p.add_argument("--index", required=True)
     p.add_argument("--count", type=int, default=10000)
-    p.add_argument("--threads", type=int, default=1)
     _add_common(p, "format", "seed")
     p.set_defaults(func=cmd_bench)
 

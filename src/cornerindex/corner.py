@@ -14,14 +14,18 @@ Both lists are strictly increasing in both coordinates, so a single binary
 search recovers bmin (successor rule) or bmax (predecessor rule) for any x,
 and a query is two such lookups.
 
-Construction works on the run-length encoding alone. Every substring that
-starts and ends with a full a-run realizes a candidate Parikh pair, and
-l_min is exactly the set of candidates that survive a dominance filter
-(keep pairs with the most a's for the fewest b's); l_max is built the same
-way from spans of full b-runs with the dominance order mirrored. Candidates
-are formed in constant time from prefix sums; the working list is a sorted
-array probed with bisect, so each candidate costs one successor search and
-the deletions it triggers are adjacent to the insertion point.
+Construction works on the run-length encoding alone, in one sweep per
+list. Every substring that starts and ends with a full a-run realizes a
+candidate Parikh pair, and l_min is exactly the set of candidates that
+survive a dominance filter (keep pairs with the most a's for the fewest
+b's); l_max is the same sweep over spans of full b-runs in swapped
+coordinates, which mirrors the dominance order. The sweep visits the
+r(r+1)/2 spans by length and start, forms each candidate in constant time
+from prefix sums, and keeps a sorted working list probed with bisect: a
+candidate costs one successor search, and the deletions an insertion
+triggers are adjacent to the insertion point. The optional ``BuildTrace``
+records the same sweep's candidates and mutations, which is also how the
+candidate lists for the order-independence check are produced.
 """
 
 from __future__ import annotations
@@ -35,8 +39,6 @@ from .rle import RunLengthEncoding, encode
 
 __all__ = [
     "ParikhVector",
-    "dominates_min",
-    "dominates_max",
     "CornerList",
     "CornerIndex",
     "BuildTrace",
@@ -49,23 +51,10 @@ __all__ = [
     "lmax_candidates",
     "assemble_lmin",
     "assemble_lmax",
-    "length_tables",
 ]
 
 # A Parikh vector of a binary string: (number of a's, number of b's).
 ParikhVector = tuple[int, int]
-
-
-def dominates_min(p: Sequence[int], q: Sequence[int]) -> bool:
-    """True when p beats q for the lower staircase: at least as many a's
-    with at most as many b's, and the pairs differ."""
-    return (p[0], p[1]) != (q[0], q[1]) and p[0] >= q[0] and p[1] <= q[1]
-
-
-def dominates_max(p: Sequence[int], q: Sequence[int]) -> bool:
-    """True when p beats q for the upper staircase: at most as many a's
-    with at least as many b's, and the pairs differ."""
-    return (p[0], p[1]) != (q[0], q[1]) and p[0] <= q[0] and p[1] >= q[1]
 
 
 class CornerList(Sequence):
@@ -187,102 +176,70 @@ def _finish_insert(
     return size_after
 
 
-def _inspect(
-    xs: list[int], ys: list[int], x: int, y: int, trace: BuildTrace | None
-) -> int:
-    """Process one candidate pair; returns post-insert size, or 0 if skipped.
+def _sweep(
+    first_runs: tuple[int, ...],
+    second_runs: tuple[int, ...],
+    drop_last: bool,
+    trace: BuildTrace | None = None,
+) -> tuple[CornerList, int]:
+    """Dominance sweep over all r(r+1)/2 run spans; returns (list, peak).
 
-    Candidates with x == 0 carry no run content on the first coordinate
-    (they arise only from the zero-length padding run) and are skipped; the
-    mandatory boundary entry for letterless strings is added by the caller.
+    A span covers k consecutive first-coordinate runs starting at i; its
+    second coordinate sums the second-coordinate runs strictly inside it.
+    With ``drop_last`` the first runs are a-runs and the spanned b-runs drop
+    the last one (l_min). Without it the first runs are b-runs and the
+    spanned a-runs drop the first one (l_max, swept in swapped orientation,
+    so its points and trace are swapped back before returning).
+
+    Candidates with x == 0 arise only from a zero-length padding run and
+    carry no run content; they are traced but skipped, and a list left
+    empty gets the boundary entry (0, 0). The peak is the largest size the
+    working list reaches right after an insertion.
     """
-    if trace is not None:
-        trace.candidates.append((x, y))
-    if x == 0:
-        return 0
-    idx = bisect_left(xs, x)
-    if idx < len(xs) and ys[idx] <= y:
-        # The successor has at least as many a's for at most as many b's:
-        # the candidate is dominated (or already present).
-        return 0
-    return _finish_insert(xs, ys, idx, x, y, trace)
-
-
-def _construct(
-    p1: list[int],
-    p2: list[int],
-    r: int,
-    inner_drop_last: bool,
-    trace: BuildTrace | None,
-) -> tuple[list[ParikhVector], int, int]:
-    """Dominance sweep over all r(r+1)/2 run spans.
-
-    ``p1``/``p2`` are prefix sums of the run lengths feeding the first and
-    second coordinate. A span covers k consecutive first-coordinate runs
-    starting at i; the second coordinate sums the runs strictly inside the
-    span, which drops the last second-run for l_min (b-runs between the
-    spanned a-runs) or the first for l_max (a-runs between the spanned
-    b-runs, in swapped orientation).
-
-    Returns (final points, peak size, candidates inspected).
-    """
+    p1 = list(accumulate(first_runs, initial=0))
+    # Prefix sums of the second-coordinate runs that separate consecutive
+    # first runs, so a span's second coordinate is one difference.
+    gaps = list(accumulate(second_runs if drop_last else second_runs[1:], initial=0))
+    r = len(first_runs)
     xs: list[int] = []
     ys: list[int] = []
     peak = 0
-    inspected = 0
-    if inner_drop_last:
-        d, e = 1, 0
-    else:
-        d, e = 0, 1
     for k in range(1, r + 1):
         for i in range(0, r - k + 1):
-            inspected += 1
             x = p1[i + k] - p1[i]
-            y = p2[i + k - d] - p2[i + e]
-            if trace is None:
-                # Hot path: dominance test inline, mutation in the shared helper.
-                if x == 0:
-                    continue
-                idx = bisect_left(xs, x)
-                if idx < len(xs) and ys[idx] <= y:
-                    continue
-                size = _finish_insert(xs, ys, idx, x, y, None)
-            else:
-                size = _inspect(xs, ys, x, y, trace)
+            y = gaps[i + k - 1] - gaps[i]
+            if trace is not None:
+                trace.candidates.append((x, y))
+            if x == 0:
+                continue
+            idx = bisect_left(xs, x)
+            if idx < len(xs) and ys[idx] <= y:
+                # The successor has at least as many a's for at most as
+                # many b's: the candidate is dominated (or already present).
+                continue
+            size = _finish_insert(xs, ys, idx, x, y, trace)
             if size > peak:
                 peak = size
-    points = list(zip(xs, ys))
-    if not points:
-        points = [(0, 0)]  # no content on the first coordinate at all
-    if len(points) > peak:
-        peak = len(points)
-    return points, peak, inspected
+    points = list(zip(xs, ys)) or [(0, 0)]
+    if not drop_last:
+        points = [(x, y) for (y, x) in points]
+        if trace is not None:
+            trace._swap_all()
+    return CornerList(points), max(peak, len(points))
 
 
-def _prefix(runs: tuple[int, ...]) -> list[int]:
-    return list(accumulate(runs, initial=0))
-
-
-def _lmin_stats(
-    rle: RunLengthEncoding, trace: BuildTrace | None = None
-) -> tuple[CornerList, int, int]:
-    points, peak, inspected = _construct(
-        _prefix(rle.a_runs), _prefix(rle.b_runs), rle.pairs, True, trace
-    )
-    return CornerList(points), peak, inspected
-
-
-def _lmax_stats(
-    rle: RunLengthEncoding, trace: BuildTrace | None = None
-) -> tuple[CornerList, int, int]:
-    # Swapping coordinates turns the mirrored dominance order into the
-    # l_min one, so the same sweep serves both lists.
-    points, peak, inspected = _construct(
-        _prefix(rle.b_runs), _prefix(rle.a_runs), rle.pairs, False, trace
-    )
-    if trace is not None:
-        trace._swap_all()
-    return CornerList([(x, y) for (y, x) in points]), peak, inspected
+def _filter(pairs: Iterable[ParikhVector]) -> list[ParikhVector]:
+    """Order-free dominance filter in l_min orientation."""
+    xs: list[int] = []
+    ys: list[int] = []
+    for x, y in pairs:
+        if x == 0:
+            continue
+        idx = bisect_left(xs, x)
+        if idx < len(xs) and ys[idx] <= y:
+            continue
+        _finish_insert(xs, ys, idx, x, y, None)
+    return list(zip(xs, ys)) or [(0, 0)]
 
 
 def build_lmin(rle: RunLengthEncoding, trace: BuildTrace | None = None) -> CornerList:
@@ -290,40 +247,32 @@ def build_lmin(rle: RunLengthEncoding, trace: BuildTrace | None = None) -> Corne
     fewest b's any substring with exactly x a's contains, and the stored
     a-counts are exactly those where that minimum is about to increase, plus
     the total a-count. Strings without a's yield the single entry (0, 0)."""
-    return _lmin_stats(rle, trace)[0]
+    return _sweep(rle.a_runs, rle.b_runs, True, trace)[0]
 
 
 def build_lmax(rle: RunLengthEncoding, trace: BuildTrace | None = None) -> CornerList:
     """Corners of the maximal-b staircase, mirror of :func:`build_lmin`;
     always contains an entry at x = 0 whose b-count is the longest b-run.
     Strings without b's yield the single entry (0, 0)."""
-    return _lmax_stats(rle, trace)[0]
+    return _sweep(rle.b_runs, rle.a_runs, False, trace)[0]
 
 
 def lmin_candidates(rle: RunLengthEncoding) -> list[ParikhVector]:
     """All r(r+1)/2 candidate pairs for l_min in generation order: the span
     of k consecutive a-runs starting at run i contributes (sum of those
     a-runs, sum of the b-runs strictly between them)."""
-    pa, pb = _prefix(rle.a_runs), _prefix(rle.b_runs)
-    r = rle.pairs
-    return [
-        (pa[i + k] - pa[i], pb[i + k - 1] - pb[i])
-        for k in range(1, r + 1)
-        for i in range(0, r - k + 1)
-    ]
+    trace = BuildTrace()
+    build_lmin(rle, trace)
+    return trace.candidates
 
 
 def lmax_candidates(rle: RunLengthEncoding) -> list[ParikhVector]:
     """All r(r+1)/2 candidate pairs for l_max in generation order: the span
     of k consecutive b-runs starting at run i contributes (sum of the a-runs
     strictly between them, sum of those b-runs)."""
-    pa, pb = _prefix(rle.a_runs), _prefix(rle.b_runs)
-    r = rle.pairs
-    return [
-        (pa[i + k] - pa[i + 1], pb[i + k] - pb[i])
-        for k in range(1, r + 1)
-        for i in range(0, r - k + 1)
-    ]
+    trace = BuildTrace()
+    build_lmax(rle, trace)
+    return trace.candidates
 
 
 def assemble_lmin(candidates: Iterable[Sequence[int]]) -> CornerList:
@@ -332,21 +281,13 @@ def assemble_lmin(candidates: Iterable[Sequence[int]]) -> CornerList:
     The final list does not depend on the order; feeding a shuffled
     :func:`lmin_candidates` output reproduces :func:`build_lmin` exactly.
     """
-    xs: list[int] = []
-    ys: list[int] = []
-    for p in candidates:
-        _inspect(xs, ys, int(p[0]), int(p[1]), None)
-    return CornerList(list(zip(xs, ys)) or [(0, 0)])
+    return CornerList(_filter((int(p[0]), int(p[1])) for p in candidates))
 
 
 def assemble_lmax(candidates: Iterable[Sequence[int]]) -> CornerList:
     """Order-independent dominance filter for the mirrored list."""
-    xs: list[int] = []
-    ys: list[int] = []
-    for p in candidates:
-        _inspect(xs, ys, int(p[1]), int(p[0]), None)
-    points = [(x, y) for (y, x) in zip(xs, ys)] or [(0, 0)]
-    return CornerList(points)
+    points = _filter((int(p[1]), int(p[0])) for p in candidates)
+    return CornerList([(x, y) for (y, x) in points])
 
 
 class LengthTables:
@@ -456,8 +397,9 @@ class CornerIndex:
 
 def index_from_rle(rle: RunLengthEncoding) -> CornerIndex:
     """Build the full index from run lengths already in hand."""
-    l_min, peak_min, seen_min = _lmin_stats(rle)
-    l_max, peak_max, seen_max = _lmax_stats(rle)
+    l_min, peak_min = _sweep(rle.a_runs, rle.b_runs, True)
+    l_max, peak_max = _sweep(rle.b_runs, rle.a_runs, False)
+    spans = rle.pairs * (rle.pairs + 1) // 2
     total_a, total_b = rle.total_a, rle.total_b
     return CornerIndex(
         l_min=l_min,
@@ -467,16 +409,11 @@ def index_from_rle(rle: RunLengthEncoding) -> CornerIndex:
         total_b=total_b,
         peak_min=peak_min,
         peak_max=peak_max,
-        inspected_min=seen_min,
-        inspected_max=seen_max,
+        inspected_min=spans,
+        inspected_max=spans,
     )
 
 
 def build_index(s: str) -> CornerIndex:
     """Encode the string and build its corner index."""
     return index_from_rle(encode(s))
-
-
-def length_tables(index: CornerIndex) -> LengthTables:
-    """Module-level alias for :meth:`CornerIndex.length_tables`."""
-    return index.length_tables()

@@ -92,12 +92,14 @@ def _read_pairs(source: BinaryIO, count: int, name: str) -> list[tuple[int, int]
 def _validated_list(pairs, name: str) -> CornerList:
     if not pairs:
         raise CorruptIndexError(f"{name} is empty")
-    for i in range(1, len(pairs)):
-        if pairs[i][0] <= pairs[i - 1][0] or pairs[i][1] <= pairs[i - 1][1]:
-            raise CorruptIndexError(
-                f"{name} is not strictly increasing in both coordinates"
-            )
-    return CornerList(pairs)
+    try:
+        return CornerList(pairs)
+    except ValueError:
+        # u64 entries are never negative, so the only check that can fail
+        # here is monotonicity.
+        raise CorruptIndexError(
+            f"{name} is not strictly increasing in both coordinates"
+        ) from None
 
 
 def deserialize(source: BinaryIO) -> CornerIndex:

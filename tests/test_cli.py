@@ -242,28 +242,14 @@ class TestBench:
         assert main(["bench", "--index", example_index, "--count", "500",
                      "--seed", "4"]) == 0
         out = capsys.readouterr().out
-        for key in ["queries=500", "threads=1", "occurs=", "not_occurs=",
+        for key in ["queries=500", "occurs=", "not_occurs=",
                     "p50_us=", "p99_us=", "throughput_qps="]:
             assert key in out
-
-    def test_threads_jsonl(self, capsys, example_index):
         assert main(["bench", "--index", example_index, "--count", "400",
-                     "--threads", "4", "--seed", "4", "--format",
-                     "jsonl"]) == 0
+                     "--seed", "4", "--format", "jsonl"]) == 0
         row = json.loads(capsys.readouterr().out)
         assert row["queries"] == 400
-        assert row["threads"] == 4
         assert row["occurs"] + row["not_occurs"] == 400
-
-    def test_hit_counts_independent_of_threads(self, capsys, tmp_path):
-        save_index(build_index("aabb" * 300), str(tmp_path / "i.cix"))
-        counts = []
-        for t in ("1", "3"):
-            assert main(["bench", "--index", str(tmp_path / "i.cix"),
-                         "--count", "2000", "--threads", t, "--seed", "7",
-                         "--format", "jsonl"]) == 0
-            counts.append(json.loads(capsys.readouterr().out)["occurs"])
-        assert counts[0] == counts[1]
 
 
 def test_module_entry_point(example_file, tmp_path):

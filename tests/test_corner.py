@@ -21,35 +21,14 @@ from cornerindex.corner import (
     build_index,
     build_lmax,
     build_lmin,
-    dominates_max,
-    dominates_min,
     lmax_candidates,
     lmin_candidates,
 )
 from cornerindex.oracle import bmin_bmax_naive, sliding_window_query
 from cornerindex.rle import encode
+from cornerindex.textgen import coin_string
 
 binary_strings = st.text(alphabet="ab", max_size=80)
-
-
-class TestDominance:
-    def test_min_examples(self):
-        assert dominates_min((5, 2), (4, 2))
-        assert not dominates_min((3, 0), (3, 0))
-        assert not dominates_min((2, 0), (3, 1))
-
-    def test_max_examples(self):
-        assert dominates_max((0, 3), (1, 3))
-        assert not dominates_max((2, 5), (2, 5))
-        assert not dominates_max((5, 7), (4, 8))
-
-    @given(st.tuples(st.integers(0, 9), st.integers(0, 9)),
-           st.tuples(st.integers(0, 9), st.integers(0, 9)))
-    def test_irreflexive_antisymmetric(self, p, q):
-        assert not dominates_min(p, p)
-        assert not (dominates_min(p, q) and dominates_min(q, p))
-        # mirror order is the same relation with coordinates swapped
-        assert dominates_max(p, q) == dominates_min(p[::-1], q[::-1])
 
 
 class TestCornerList:
@@ -104,11 +83,25 @@ class TestConstruction:
             assert list(idx.l_max) == lmax
 
     def test_candidate_counts(self):
-        r = encode(EXAMPLE)
-        assert len(lmin_candidates(r)) == 15
-        assert len(lmax_candidates(r)) == 15
-        idx = build_index(EXAMPLE)
-        assert idx.inspected_min == idx.inspected_max == 15
+        # (peak_min, peak_max, inspected_min, inspected_max): peak_* is
+        # persisted in .cix files and printed by the CLI, inspected_* is
+        # r(r+1)/2; construction must not move either.
+        big = coin_string(random.Random(2024), 2000)
+        for s, counts in [
+            ("", (1, 1, 0, 0)),
+            ("a", (1, 1, 1, 1)),
+            ("ba", (1, 1, 3, 3)),
+            ("abba", (2, 1, 3, 3)),
+            (EXAMPLE, (4, 5, 15, 15)),
+            (big, (675, 645, 122265, 122265)),
+        ]:
+            r = encode(s)
+            idx = build_index(s)
+            assert (idx.peak_min, idx.peak_max,
+                    idx.inspected_min, idx.inspected_max) == counts, s[:20]
+            assert len(lmin_candidates(r)) == idx.inspected_min
+            assert len(lmax_candidates(r)) == idx.inspected_max
+        assert (len(idx.l_min), len(idx.l_max)) == (675, 645)  # the big row
 
     def test_insertion_order_independent(self):
         rng = random.Random(7)
