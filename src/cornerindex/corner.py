@@ -20,22 +20,35 @@ candidate Parikh pair, and l_min is exactly the set of candidates that
 survive a dominance filter (keep pairs with the most a's for the fewest
 b's); l_max is the same sweep over spans of full b-runs in swapped
 coordinates, which mirrors the dominance order. The sweep visits the
-r(r+1)/2 spans by length and start, forms each candidate in constant time
-from prefix sums, and keeps a sorted working list probed with bisect: a
-candidate costs one successor search, and the deletions an insertion
-triggers are adjacent to the insertion point. The optional ``BuildTrace``
-records the same sweep's candidates and mutations, which is also how the
-candidate lists for the order-independence check are produced.
+r(r+1)/2 spans by length k and start i and keeps a sorted working list
+probed with bisect: a candidate costs one successor search, and the
+deletions an insertion triggers are adjacent to the insertion point.
+
+numpy forms the candidates a block at a time from uint64 prefix sums (one
+row of fixed k, or several short rows together) and drops in bulk every
+candidate that the staircase, as it stood at the block's start, already
+dominates; only the survivors reach the bisect step, in (k, i) order. This
+is exact: every pair of an older staircase is still stored or dominated by
+a stored pair, so the sequential sweep would reject the same candidates,
+and a rejected candidate never changes the list. Lists, peaks and traces
+are those of the plain sequential sweep; a sweep small enough to be one
+block runs on plain ints, since an empty staircase rejects nothing. The
+optional ``BuildTrace`` records that sweep's candidates and mutations,
+which is also how the candidate lists for the order-independence check
+are produced.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterable, Iterator, Sequence, Union
 
-from .rle import RunLengthEncoding, encode
+import numpy as np
+
+from .rle import MAX_TEXT_LENGTH, RunLengthEncoding, encode
 
 __all__ = [
     "ParikhVector",
@@ -176,6 +189,102 @@ def _finish_insert(
     return size_after
 
 
+# Candidates per numpy block. Short rows are grouped, since one block per
+# short row would pay numpy's per-call cost on tiny rows; a sweep with at
+# most this many spans is a single block and does without numpy.
+_BLOCK = 512
+
+
+def _prefix(runs: Sequence[int]) -> np.ndarray:
+    return np.array((0, *runs), dtype=np.uint64).cumsum()
+
+
+class _Blocks:
+    """The sweep's candidates in (k, i) order, one numpy block at a time.
+
+    A block is one row (fixed span length k, every start i) when the row
+    has at least ``_BLOCK`` spans, else a group of consecutive short rows
+    holding at least ``_BLOCK`` spans (or the remaining ones). Blocks and
+    the prefilter's temporaries live in buffers allocated once per sweep.
+    """
+
+    def __init__(self, p1: np.ndarray, gaps: np.ndarray):
+        self.p1 = p1
+        self.gaps = gaps
+        self.r = r = len(p1) - 1
+        cap = max(r, 2 * _BLOCK)
+        self.x = np.empty(cap, dtype=np.uint64)
+        self.y = np.empty(cap, dtype=np.uint64)
+        self.t = np.empty(cap, dtype=np.uint64)
+        self.keep = np.empty(cap, dtype=bool)
+
+    def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        r, p1, gaps = self.r, self.p1, self.gaps
+        k = 1
+        while k <= r:
+            w = r - k + 1
+            if w >= _BLOCK:
+                x, y = self.x[:w], self.y[:w]
+                np.subtract(p1[k:], p1[:w], out=x)
+                np.subtract(gaps[k - 1 : r], gaps[:w], out=y)
+                k += 1
+            else:
+                k1, m = k + 1, w
+                while m < _BLOCK and k1 <= r:
+                    m += r - k1 + 1
+                    k1 += 1
+                # (row offset d, start i) of every span of rows k..k1-1, in
+                # order; row k + d has the starts 0..w-1-d.
+                last = np.arange(w - 1, w - 1 - (k1 - k), -1)
+                row, i = np.nonzero(np.arange(w) <= last[:, None])
+                ends = row + k + i
+                x, y, t = self.x[:m], self.y[:m], self.t[:m]
+                np.subtract(p1.take(ends, out=x), p1.take(i, out=t), out=x)
+                ends -= 1
+                np.subtract(gaps.take(ends, out=y), gaps.take(i, out=t), out=y)
+                k = k1
+            yield x, y
+
+    def undominated(
+        self, x: np.ndarray, y: np.ndarray, mx: array, my: array
+    ) -> np.ndarray:
+        """Positions of the block's candidates that no pair of the
+        staircase mirrored in (mx, my) dominates."""
+        m = len(x)
+        j = np.frombuffer(mx, dtype=np.uint64).searchsorted(x)
+        successor_y = np.frombuffer(my, dtype=np.uint64).take(j, out=self.t[:m])
+        keep = np.greater(successor_y, y, out=self.keep[:m])
+        return keep.nonzero()[0]
+
+
+def _feed(
+    xs: list[int], ys: list[int], pairs: Iterable[ParikhVector], trace: BuildTrace | None
+) -> tuple[int, int]:
+    """The sequential step: run pairs, in order, through the successor test
+    and insert the undominated ones. Pairs with x == 0 carry no run content
+    and are skipped. Returns the largest list size right after an insertion
+    and the lowest position that changed (len(xs) when nothing did)."""
+    peak = 0
+    lo = len(xs)
+    for x, y in pairs:
+        if x == 0:
+            continue
+        idx = bisect_left(xs, x)
+        if idx < len(xs) and ys[idx] <= y:
+            # The successor has at least as many a's for at most as many
+            # b's: the candidate is dominated (or already present).
+            continue
+        size = _finish_insert(xs, ys, idx, x, y, trace)
+        if size > peak:
+            peak = size
+        # The new pair sits at idx less the pairs pruned to its left, and
+        # nothing left of it moved.
+        pos = idx - size + len(xs)
+        if pos < lo:
+            lo = pos
+    return peak, lo
+
+
 def _sweep(
     first_runs: tuple[int, ...],
     second_runs: tuple[int, ...],
@@ -191,35 +300,53 @@ def _sweep(
     spanned a-runs drop the first one (l_max, swept in swapped orientation,
     so its points and trace are swapped back before returning).
 
+    Spans are generated in (k, i) order, one numpy block at a time. Each
+    block is prefiltered against the staircase as it stood at the block's
+    start; the survivors then go through the sequential step in order.
     Candidates with x == 0 arise only from a zero-length padding run and
     carry no run content; they are traced but skipped, and a list left
     empty gets the boundary entry (0, 0). The peak is the largest size the
     working list reaches right after an insertion.
     """
-    p1 = list(accumulate(first_runs, initial=0))
-    # Prefix sums of the second-coordinate runs that separate consecutive
-    # first runs, so a span's second coordinate is one difference.
-    gaps = list(accumulate(second_runs if drop_last else second_runs[1:], initial=0))
     r = len(first_runs)
+    # The second-coordinate runs that separate consecutive first runs, so
+    # a span's second coordinate is one difference of their prefix sums.
+    second = second_runs if drop_last else second_runs[1:]
     xs: list[int] = []
     ys: list[int] = []
-    peak = 0
-    for k in range(1, r + 1):
-        for i in range(0, r - k + 1):
-            x = p1[i + k] - p1[i]
-            y = gaps[i + k - 1] - gaps[i]
+    if r * (r + 1) // 2 <= _BLOCK:
+        # One block, met by an empty staircase that rejects nothing: plain
+        # ints skip numpy's fixed cost, which dominates inputs this small.
+        p1 = list(accumulate(first_runs, initial=0))
+        gaps = list(accumulate(second, initial=0))
+        spans = [
+            (p1[i + k] - p1[i], gaps[i + k - 1] - gaps[i])
+            for k in range(1, r + 1)
+            for i in range(r - k + 1)
+        ]
+        if trace is not None:
+            for c in spans:
+                trace.candidates.append(c)
+        peak = _feed(xs, ys, spans, trace)[0]
+    else:
+        blocks = _Blocks(_prefix(first_runs), _prefix(second))
+        # uint64 copy of the staircase for the prefilter, synced after each
+        # block. my ends with a sentinel that stands for "no successor": it
+        # exceeds every b-count of a candidate with x > 0, since the letter
+        # totals sum to at most MAX_TEXT_LENGTH.
+        mx = array("Q")
+        my = array("Q", [MAX_TEXT_LENGTH])
+        peak = 0
+        for bx, by in blocks:
             if trace is not None:
-                trace.candidates.append((x, y))
-            if x == 0:
-                continue
-            idx = bisect_left(xs, x)
-            if idx < len(xs) and ys[idx] <= y:
-                # The successor has at least as many a's for at most as
-                # many b's: the candidate is dominated (or already present).
-                continue
-            size = _finish_insert(xs, ys, idx, x, y, trace)
-            if size > peak:
-                peak = size
+                for c in zip(bx.tolist(), by.tolist()):
+                    trace.candidates.append(c)
+            keep = blocks.undominated(bx, by, mx, my)
+            survivors = zip(bx[keep].tolist(), by[keep].tolist())
+            block_peak, lo = _feed(xs, ys, survivors, trace)
+            peak = max(peak, block_peak)
+            mx[lo:] = array("Q", xs[lo:])
+            my[lo:-1] = array("Q", ys[lo:])
     points = list(zip(xs, ys)) or [(0, 0)]
     if not drop_last:
         points = [(x, y) for (y, x) in points]
@@ -232,13 +359,7 @@ def _filter(pairs: Iterable[ParikhVector]) -> list[ParikhVector]:
     """Order-free dominance filter in l_min orientation."""
     xs: list[int] = []
     ys: list[int] = []
-    for x, y in pairs:
-        if x == 0:
-            continue
-        idx = bisect_left(xs, x)
-        if idx < len(xs) and ys[idx] <= y:
-            continue
-        _finish_insert(xs, ys, idx, x, y, None)
+    _feed(xs, ys, pairs, None)
     return list(zip(xs, ys)) or [(0, 0)]
 
 

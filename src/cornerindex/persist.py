@@ -43,6 +43,7 @@ MAGIC = b"CORNERIX"
 FORMAT_VERSION = 1
 
 _HEADER = struct.Struct("<8sI7Q")
+_CHUNK = 1 << 20
 
 
 class IndexFormatError(ValueError):
@@ -82,9 +83,17 @@ def serialize(index: CornerIndex, sink: BinaryIO) -> None:
 
 
 def _read_pairs(source: BinaryIO, count: int, name: str) -> list[tuple[int, int]]:
-    raw = source.read(16 * count)
-    if len(raw) != 16 * count:
-        raise CorruptIndexError(f"truncated {name} payload")
+    # Read in bounded chunks: a header may claim far more entries than the
+    # stream holds, and a single read of that size would allocate it all.
+    chunks = []
+    missing = 16 * count
+    while missing:
+        chunk = source.read(min(missing, _CHUNK))
+        if not chunk:
+            raise CorruptIndexError(f"truncated {name} payload")
+        chunks.append(chunk)
+        missing -= len(chunk)
+    raw = b"".join(chunks)
     flat = struct.unpack(f"<{2 * count}Q", raw)
     return list(zip(flat[0::2], flat[1::2]))
 

@@ -21,8 +21,8 @@ __all__ = [
     "rho",
 ]
 
-# Run lengths are persisted as 64-bit unsigned words; reject anything that
-# could not round-trip through that representation.
+# Run lengths are persisted, and swept, as 64-bit unsigned words; reject
+# anything that could not round-trip through that representation.
 MAX_TEXT_LENGTH = (1 << 64) - 1
 
 _INVALID_CHAR = re.compile(r"[^ab]")
@@ -67,6 +67,8 @@ class RunLengthEncoding:
             raise MalformedEncodingError("interior a-run of length zero")
         if any(v == 0 for v in b[:-1]):
             raise MalformedEncodingError("interior b-run of length zero")
+        if sum(a) + sum(b) > MAX_TEXT_LENGTH:
+            raise MalformedEncodingError("run lengths exceed the 64-bit length limit")
 
     @property
     def pairs(self) -> int:

@@ -1,5 +1,6 @@
 import io
 import json
+import struct
 import subprocess
 import sys
 
@@ -134,6 +135,16 @@ class TestQuery:
             sys.stdin = sys_stdin
         assert code == 2
         assert "bad magic" in capsys.readouterr().err
+
+    def test_huge_entry_count(self, capsys, monkeypatch, example_index):
+        # header claims 2^58 l_min entries; only the 68-byte header exists
+        with open(example_index, "r+b") as fh:
+            fh.seek(36)
+            fh.write(struct.pack("<Q", 1 << 58))
+            fh.truncate(68)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1 1\n"))
+        assert main(["query", "--index", example_index]) == 2
+        assert "truncated l_min payload" in capsys.readouterr().err
 
 
 class TestPnf:

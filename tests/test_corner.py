@@ -1,5 +1,6 @@
 import random
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,9 @@ from conftest import (
     EXAMPLE_LMAX,
     EXAMPLE_LMIN,
     all_binary_strings,
+    assert_matches_reference,
 )
+from cornerindex import corner
 from cornerindex.corner import (
     BuildTrace,
     CornerList,
@@ -25,10 +28,24 @@ from cornerindex.corner import (
     lmin_candidates,
 )
 from cornerindex.oracle import bmin_bmax_naive, sliding_window_query
-from cornerindex.rle import encode
-from cornerindex.textgen import coin_string
+from cornerindex.rle import RunLengthEncoding, encode
+from cornerindex.textgen import coin_string, geometric_run_string
 
 binary_strings = st.text(alphabet="ab", max_size=80)
+
+
+@st.composite
+def run_lists(draw):
+    """Padded run lists: positive runs, optionally a leading zero a-run and
+    a trailing zero b-run."""
+    r = draw(st.integers(1, 60))
+    runs = st.lists(st.integers(1, 12), min_size=r, max_size=r)
+    a, b = draw(runs), draw(runs)
+    if draw(st.booleans()):
+        a[0] = 0
+    if draw(st.booleans()):
+        b[-1] = 0
+    return RunLengthEncoding(tuple(a), tuple(b))
 
 
 class TestCornerList:
@@ -114,6 +131,36 @@ class TestConstruction:
                 cands = lmax_candidates(r)
                 rng.shuffle(cands)
                 assert assemble_lmax(cands) == build_lmax(r)
+
+
+def _shapes():
+    r = 700  # rows k <= 189 are single blocks, the rest are grouped
+    rng = random.Random(3)
+    return {
+        "equal": RunLengthEncoding((50,) * r, (50,) * r),
+        "decreasing": RunLengthEncoding(tuple(range(r, 0, -1)), (1,) * r),
+        "increasing": RunLengthEncoding(tuple(range(1, r + 1)), (2,) * r),
+        "dominant": RunLengthEncoding((1,) * 350 + (10_000,) + (1,) * 349, (1,) * r),
+        "coin": encode(coin_string(rng, 2900)),
+        "geometric": encode(geometric_run_string(rng, 7000, 0.2)),
+    }
+
+
+class TestBatchedSweep:
+    """The numpy-prefiltered sweep against the sequential reference sweep:
+    same lists, peaks and BuildTrace events."""
+
+    @pytest.mark.parametrize("shape", sorted(_shapes()))
+    def test_shapes(self, shape):
+        rle = _shapes()[shape]
+        assert rle.pairs > corner._BLOCK
+        assert_matches_reference(rle)
+
+    @given(run_lists(), st.sampled_from([1, 2, 3, 8, 64]))
+    @settings(max_examples=200, deadline=None)
+    def test_any_runs_any_block_size(self, rle, block):
+        with mock.patch.object(corner, "_BLOCK", block):
+            assert_matches_reference(rle)
 
 
 class TestAgainstOracle:

@@ -117,6 +117,16 @@ class TestRejections:
         with pytest.raises(CorruptIndexError, match="truncated l_min payload"):
             deserialize(io.BytesIO(raw))
 
+    def test_count_beyond_file_size(self, tmp_path):
+        # a header claiming 2^58 entries must not allocate the claimed payload
+        path = tmp_path / "huge.cix"
+        path.write_bytes(corrupt(example_bytes(), 36, 1 << 58)[:68])
+        with pytest.raises(CorruptIndexError, match="truncated l_min payload"):
+            load_index(str(path))
+        path.write_bytes(corrupt(example_bytes(), 44, 1 << 58))
+        with pytest.raises(CorruptIndexError, match="truncated l_max payload"):
+            load_index(str(path))
+
     def test_empty_list(self):
         raw = corrupt(example_bytes(), 36, 0)  # l_min count -> 0
         with pytest.raises(CorruptIndexError, match="l_min is empty"):

@@ -1,8 +1,13 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import assert_matches_reference
+from cornerindex import corner
 from cornerindex.rle import (
+    MAX_TEXT_LENGTH,
     InputFormatError,
     MalformedEncodingError,
     RunLengthEncoding,
@@ -60,6 +65,28 @@ def test_interior_zero_runs_rejected():
         RunLengthEncoding((1, 1), (1,))
     with pytest.raises(MalformedEncodingError):
         RunLengthEncoding((-1,), (1,))
+
+
+def test_total_length_limit():
+    with pytest.raises(MalformedEncodingError, match="64-bit"):
+        RunLengthEncoding((1 << 63,), (1 << 63,))
+    with pytest.raises(MalformedEncodingError, match="64-bit"):
+        RunLengthEncoding((1, 1), (1, MAX_TEXT_LENGTH - 2))
+    assert RunLengthEncoding((MAX_TEXT_LENGTH,), (0,)).total_a == MAX_TEXT_LENGTH
+
+
+@pytest.mark.parametrize("a_runs, b_runs", [
+    ((1 << 62, (1 << 62) - 5, 3), (1 << 61, 7, 1 << 61)),
+    ((0, 1, (1 << 63) - 1, 2), (5, 1 << 62, 9, 0)),
+    (((1 << 63) + 11, 4), (3, (1 << 62) + 1)),
+    ((MAX_TEXT_LENGTH - 2, 1), (1, 0)),
+])
+def test_huge_runs_build_exactly(a_runs, b_runs):
+    # the numpy sweep works in uint64 (block size 1 sends these few runs
+    # through it); sums near the limit must not wrap
+    for block in (1, corner._BLOCK):
+        with mock.patch.object(corner, "_BLOCK", block):
+            assert_matches_reference(RunLengthEncoding(a_runs, b_runs))
 
 
 @given(binary_strings)
