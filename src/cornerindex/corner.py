@@ -44,7 +44,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -411,27 +411,30 @@ def assemble_lmax(candidates: Iterable[Sequence[int]]) -> CornerList:
     return CornerList([(x, y) for (y, x) in points])
 
 
-class LengthTables:
+class LengthTables(NamedTuple):
     """Per-length a-count envelope: for every substring length m,
     ``min_a[m]`` and ``max_a[m]`` bound the a-counts over all length-m
     substrings, and every value between them is achieved."""
 
-    __slots__ = ("min_a", "max_a")
+    min_a: tuple[int, ...]
+    max_a: tuple[int, ...]
 
-    def __init__(self, min_a: tuple[int, ...], max_a: tuple[int, ...]):
-        self.min_a = min_a
-        self.max_a = max_a
 
-    def __iter__(self):  # allows f, F = index.length_tables()
-        return iter((self.min_a, self.max_a))
+def _pnf_runs(
+    firsts: Sequence[int], seconds: Sequence[int], total_second: int
+) -> Iterator[tuple[int, int]]:
+    """Run pairs of a prefix normal form, read off one corner list.
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, LengthTables):
-            return self.min_a == other.min_a and self.max_a == other.max_a
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"LengthTables(min_a={self.min_a!r}, max_a={self.max_a!r})"
+    The stored first coordinates are the prefix sums of the form's
+    first-letter runs; the stored second coordinates, shifted one slot and
+    closed off by the total, those of its second-letter runs. l_min read as
+    (a-counts, b-counts) gives pnf_a's (a-run, b-run) pairs, and l_max read
+    as (b-counts, a-counts) gives pnf_b's (b-run, a-run) pairs.
+    """
+    prev = 0
+    for x, y, nxt in zip(firsts, seconds, (*seconds[1:], total_second)):
+        yield x - prev, nxt - y
+        prev = x
 
 
 @dataclass(frozen=True)
@@ -482,37 +485,22 @@ class CornerIndex:
     def length_tables(self) -> LengthTables:
         """Expand the corner lists into per-length a-count bounds.
 
-        Runs in O(n): a substring with x a's needs at least x + bmin(x)
-        characters, so max_a[m] is the largest x with x + bmin(x) <= m;
-        dually min_a[m] is the smallest x with x + bmax(x) >= m. Both
-        defining expressions are strictly increasing in x, so one pointer
-        walks each staircase.
+        max_a[m] is the a-count of pnf_a's m-prefix and min_a[m] that of
+        pnf_b's, so both tables come from one walk over the corner runs:
+        max_a rises over each a-run and stays flat over each b-run, min_a
+        the other way round. The cost is O(n) in C-level list extends plus
+        O(|l_min| + |l_max|) Python steps.
         """
-        ta, n = self.total_a, self.n
-        dense_min = [0] * (ta + 1)
-        prev = 0
-        for x, y in self.l_min:
-            for i in range(prev, x + 1):
-                dense_min[i] = y
-            prev = x + 1
-        dense_max = [0] * (ta + 1)
-        xs, ys = self.l_max.xs, self.l_max.ys
-        for j in range(len(xs)):
-            hi = xs[j + 1] if j + 1 < len(xs) else ta + 1
-            for i in range(xs[j], hi):
-                dense_max[i] = ys[j]
-        max_a = [0] * (n + 1)
-        x = 0
-        for m in range(n + 1):
-            while x < ta and (x + 1) + dense_min[x + 1] <= m:
-                x += 1
-            max_a[m] = x
-        min_a = [0] * (n + 1)
-        x = 0
-        for m in range(n + 1):
-            while x + dense_max[x] < m:
-                x += 1
-            min_a[m] = x
+        max_a = [0]
+        for u, v in _pnf_runs(self.l_min.xs, self.l_min.ys, self.total_b):
+            c = max_a[-1]
+            max_a += range(c + 1, c + u + 1)
+            max_a += [c + u] * v
+        min_a = [0]
+        for u, v in _pnf_runs(self.l_max.ys, self.l_max.xs, self.total_a):
+            c = min_a[-1]
+            min_a += [c] * u
+            min_a += range(c + 1, c + v + 1)
         return LengthTables(tuple(min_a), tuple(max_a))
 
 

@@ -2,11 +2,13 @@
 
 ``pnf_a(s)`` is the unique binary string whose length-m prefix contains, for
 every m, as many a's as the richest length-m substring of s; ``pnf_b`` is the
-mirror for b's. Both are determined by the corner lists alone: consecutive
-l_min entries give the run lengths of pnf_a directly (the stored a-counts are
-its a-run prefix sums, the stored b-counts its b-run prefix sums shifted by
-one), and l_max gives pnf_b the same way after swapping the roles of the two
-letters.
+mirror for b's. Both are determined by the corner lists alone: the l_min
+a-counts are pnf_a's a-run prefix sums and its b-counts, shifted by one,
+pnf_a's b-run prefix sums; l_max gives pnf_b the same way after swapping the
+roles of the two letters (Fici and Lipták, "On prefix normal words"). The
+walk that reads the runs off a corner list lives in ``corner.py``, next to
+``CornerIndex.length_tables``, whose tables are the a-counts of the two
+forms' prefixes.
 
 Run counting convention: with runs in padded form (a leading zero a-run or a
 trailing zero b-run kept so runs pair up), pnf_a of a non-empty string always
@@ -18,13 +20,11 @@ the empty string has no runs at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .corner import CornerIndex
-from .rle import RunLengthEncoding, decode
+from .corner import CornerIndex, _pnf_runs
 
 __all__ = ["PnfPair", "rank", "select", "pnf_from_index", "verify_pnf_relations"]
-
-_COMPLEMENT = str.maketrans("ab", "ba")
 
 
 def rank(s: str, c: str, i: int) -> int:
@@ -56,33 +56,16 @@ class PnfPair:
     pnf_b: str
 
 
-def _runs_from_corners(points, total_second: int) -> RunLengthEncoding:
-    """Invert corner pairs into padded run lengths.
-
-    The stored first coordinates are prefix sums of the first-letter runs;
-    the stored second coordinates, shifted one slot, prefix sums of the
-    second-letter runs, closed off by the total.
-    """
-    firsts: list[int] = []
-    seconds: list[int] = []
-    prev_x = 0
-    pts = list(points)
-    for m, (x, y) in enumerate(pts):
-        firsts.append(x - prev_x)
-        prev_x = x
-        nxt = pts[m + 1][1] if m + 1 < len(pts) else total_second
-        seconds.append(nxt - y)
-    return RunLengthEncoding(tuple(firsts), tuple(seconds))
-
-
 def pnf_from_index(index: CornerIndex) -> PnfPair:
     """Materialize both prefix normal forms from the corner lists."""
-    if index.n == 0:
-        return PnfPair("", "")
-    pnf_a = decode(_runs_from_corners(index.l_min, index.total_b))
-    swapped = [(y, x) for (x, y) in index.l_max]
-    mirror = decode(_runs_from_corners(swapped, index.total_a))
-    return PnfPair(pnf_a, mirror.translate(_COMPLEMENT))
+    l_min, l_max = index.l_min, index.l_max
+    pnf_a = "".join(
+        "a" * u + "b" * v for u, v in _pnf_runs(l_min.xs, l_min.ys, index.total_b)
+    )
+    pnf_b = "".join(
+        "b" * u + "a" * v for u, v in _pnf_runs(l_max.ys, l_max.xs, index.total_a)
+    )
+    return PnfPair(pnf_a, pnf_b)
 
 
 def verify_pnf_relations(index: CornerIndex, pnfs: PnfPair) -> bool:
@@ -92,22 +75,24 @@ def verify_pnf_relations(index: CornerIndex, pnfs: PnfPair) -> bool:
     richest a-count over length-m substrings; the position of the i-th a in
     pnf_a locates the minimal-b staircase, and the position of the i+1-th a
     in pnf_b the maximal-b staircase (whose final value is the b total).
+    Forms of the wrong length or with other than total_a a's fail. One scan
+    of each string, plus a binary search per a for bmin and bmax.
     """
     pnf_a, pnf_b = pnfs.pnf_a, pnfs.pnf_b
-    if len(pnf_a) != index.n or len(pnf_b) != index.n:
+    n, total_a = index.n, index.total_a
+    if len(pnf_a) != n or len(pnf_b) != n:
         return False
-    max_a = index.length_tables().max_a
-    for m in range(index.n + 1):
-        if rank(pnf_a, "a", m) != max_a[m]:
-            return False
+    a_counts = accumulate(map("a".__eq__, pnf_a), initial=0)
+    if tuple(a_counts) != index.length_tables().max_a:
+        return False
+    where_a = [p for p, c in enumerate(pnf_a, 1) if c == "a"]
+    where_b = [p for p, c in enumerate(pnf_b, 1) if c == "a"]
+    if len(where_a) != total_a or len(where_b) != total_a:
+        return False
     if index.bmin(0) != 0:
         return False
-    for i in range(1, index.total_a + 1):
-        if index.bmin(i) != select(pnf_a, "a", i) - i:
-            return False
-    for i in range(index.total_a):
-        if index.bmax(i) != select(pnf_b, "a", i + 1) - (i + 1):
-            return False
-    if index.bmax(index.total_a) != index.total_b:
+    if any(index.bmin(i) != p - i for i, p in enumerate(where_a, 1)):
         return False
-    return True
+    if any(index.bmax(i) != p - (i + 1) for i, p in enumerate(where_b)):
+        return False
+    return index.bmax(total_a) == index.total_b

@@ -27,7 +27,7 @@ from cornerindex.corner import (
     lmax_candidates,
     lmin_candidates,
 )
-from cornerindex.oracle import bmin_bmax_naive, sliding_window_query
+from cornerindex.oracle import bmin_bmax_naive, parikh_set_bruteforce, sliding_window_query
 from cornerindex.rle import RunLengthEncoding, encode
 from cornerindex.textgen import coin_string, geometric_run_string
 
@@ -231,10 +231,16 @@ class TestLengthTables:
         assert f[0] == F[0] == 0
         assert f[18] == F[18] == 9
 
-    def test_all_a(self):
-        f, F = build_index("aaa").length_tables()
-        assert list(f) == [0, 1, 2, 3]
-        assert list(F) == [0, 1, 2, 3]
+    @pytest.mark.parametrize(
+        "s", ["", "a", "b", "aaa", "bbb", "ab", "ba"], ids=lambda s: s or "empty"
+    )
+    def test_short_strings(self, s):
+        # zero padding runs and the (0, 0) entry: compare with brute force
+        pairs = parikh_set_bruteforce(s)
+        by_length = [[x for x, y in pairs if x + y == m] for m in range(len(s) + 1)]
+        f, F = build_index(s).length_tables()
+        assert f == tuple(min(xs) for xs in by_length)
+        assert F == tuple(max(xs) for xs in by_length)
 
     @given(binary_strings)
     @settings(max_examples=200)

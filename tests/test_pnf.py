@@ -1,14 +1,16 @@
+import random
 from collections import defaultdict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EXAMPLE, EXAMPLE_PNF_A, EXAMPLE_PNF_B, all_binary_strings
-from cornerindex.corner import build_index
+from cornerindex.corner import build_index, index_from_rle
 from cornerindex.oracle import parikh_set_bruteforce
 from cornerindex.pnf import PnfPair, pnf_from_index, rank, select, verify_pnf_relations
-from cornerindex.rle import encode
+from cornerindex.rle import RunLengthEncoding, encode
 
 binary_strings = st.text(alphabet="ab", max_size=60)
 
@@ -68,6 +70,25 @@ class TestNormalForms:
         assert not verify_pnf_relations(idx, PnfPair(good.pnf_a[::-1], good.pnf_b))
         assert not verify_pnf_relations(idx, PnfPair("a" * 18, good.pnf_b))
         assert not verify_pnf_relations(idx, PnfPair("", ""))
+        assert not verify_pnf_relations(idx, PnfPair(good.pnf_a, "b" * 18))
+        # right length and a-positions, but one a too many
+        assert not verify_pnf_relations(build_index("b"), PnfPair("b", "a"))
+
+    def test_long_text(self):
+        # n = 200,000 in 40 runs: the relations check is linear, and the
+        # tables match windowed a-counts at seeded lengths
+        rng = random.Random(40)
+        cuts = sorted(rng.sample(range(1, 200_000), 39))
+        runs = [b - a for a, b in zip([0, *cuts], [*cuts, 200_000])]
+        idx = index_from_rle(RunLengthEncoding(tuple(runs[0::2]), tuple(runs[1::2])))
+        assert verify_pnf_relations(idx, pnf_from_index(idx))
+        text = "".join("ab"[k % 2] * r for k, r in enumerate(runs))
+        prefix = np.cumsum(np.frombuffer(text.encode(), np.uint8) == ord("a"))
+        prefix = np.concatenate(([0], prefix))
+        f, F = idx.length_tables()
+        for m in rng.sample(range(1, 200_001), 20):
+            window = prefix[m:] - prefix[:-m]
+            assert (f[m], F[m]) == (window.min(), window.max()), m
 
     @given(binary_strings)
     @settings(max_examples=300)
