@@ -39,13 +39,26 @@ _TO_AB = str.maketrans("01", "ab")
 _FROM_AB = str.maketrans("ab", "01")
 
 
+def _stdin():
+    """Standard input's bytes; a text-only stand-in for it is read as is."""
+    return getattr(sys.stdin, "buffer", sys.stdin)
+
+
 def _read_text(path: str, alphabet: str) -> str:
     if path == "-":
-        raw = sys.stdin.read()
+        data = _stdin().read()
     else:
-        with open(path, "r", encoding="ascii") as fh:
-            raw = fh.read()
-    raw = raw.strip()
+        with open(path, "rb") as fh:
+            data = fh.read()
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise InputFormatError(
+                f"non-ASCII byte 0x{data[exc.start]:02x} at byte offset {exc.start}",
+                position=exc.start,
+            ) from None
+    raw = data.strip()
     if alphabet == "01":
         bad = re.search(r"[^01]", raw)
         if bad is not None:
@@ -97,11 +110,13 @@ def cmd_build(args) -> int:
 
 def cmd_query(args) -> int:
     index = load_index(args.index)
+    # Lines stay bytes, which int() parses, so a non-ASCII byte makes its
+    # line malformed instead of failing the decoding of the whole stream.
     if args.input == "-":
-        lines = sys.stdin
+        lines = _stdin()
         close = None
     else:
-        close = open(args.input, "r", encoding="ascii")
+        close = open(args.input, "rb")
         lines = close
     bad_lines = 0
     try:
@@ -145,6 +160,15 @@ def cmd_pnf(args) -> int:
     return EXIT_OK
 
 
+def _run_parameter_ok(command: str, p: float | None) -> bool:
+    """Whether --run-geometric is unset or a run parameter in (0, 1]; the
+    usage message is printed when it is not."""
+    if p is None or 0.0 < p <= 1.0:
+        return True
+    print(f"{command}: --run-geometric must be in (0, 1], got {p}", file=sys.stderr)
+    return False
+
+
 def _verify_one(text: str, max_n: int) -> list[tuple[str, bool]]:
     index = build_index(text)
     pi = parikh_set_bruteforce(text, max_n)
@@ -172,6 +196,11 @@ def cmd_verify(args) -> int:
     else:
         if args.length is None:
             print("verify: --count requires --length", file=sys.stderr)
+            return EXIT_USAGE
+        if args.length < 1:
+            print("verify: --length must be at least 1", file=sys.stderr)
+            return EXIT_USAGE
+        if not _run_parameter_ok("verify", args.run_geometric):
             return EXIT_USAGE
         rng = random.Random(args.seed)
         texts = []
@@ -202,6 +231,8 @@ def cmd_experiment(args) -> int:
     else:
         if args.length is None or args.length < 1:
             print("experiment: --length must be at least 1", file=sys.stderr)
+            return EXIT_USAGE
+        if not _run_parameter_ok("experiment", args.run_geometric):
             return EXIT_USAGE
         for _ in range(args.count):
             if args.run_geometric is not None:

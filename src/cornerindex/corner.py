@@ -30,12 +30,19 @@ candidate that the staircase, as it stood at the block's start, already
 dominates; only the survivors reach the bisect step, in (k, i) order. This
 is exact: every pair of an older staircase is still stored or dominated by
 a stored pair, so the sequential sweep would reject the same candidates,
-and a rejected candidate never changes the list. Lists, peaks and traces
-are those of the plain sequential sweep; a sweep small enough to be one
-block runs on plain ints, since an empty staircase rejects nothing. The
-optional ``BuildTrace`` records that sweep's candidates and mutations,
-which is also how the candidate lists for the order-independence check
-are produced.
+and a rejected candidate never changes the list. Each candidate's test
+needs the staircase's successor b-count at its a-count. While a block's
+a-counts span fewer values than the block holds (fair-coin text: a few
+percent of it), one search of that sorted range tabulates the successor
+for every value and each candidate reads its entry; the table holds the
+values a per-candidate search would find, so the survivors are the same.
+From the first block whose range is as long as the block (long runs,
+where it is many times longer), the rest of the sweep searches per
+candidate. Lists, peaks and traces are those of the plain sequential
+sweep; a sweep small enough to be one block runs on plain ints, since an
+empty staircase rejects nothing. The optional ``BuildTrace`` records that
+sweep's candidates and mutations, which is also how the candidate lists
+for the order-independence check are produced.
 """
 
 from __future__ import annotations
@@ -217,6 +224,8 @@ class _Blocks:
         self.y = np.empty(cap, dtype=np.uint64)
         self.t = np.empty(cap, dtype=np.uint64)
         self.keep = np.empty(cap, dtype=bool)
+        # Whether undominated still tabulates successors (one-way switch).
+        self.dense = True
 
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         r, p1, gaps = self.r, self.p1, self.gaps
@@ -249,10 +258,36 @@ class _Blocks:
         self, x: np.ndarray, y: np.ndarray, mx: array, my: array
     ) -> np.ndarray:
         """Positions of the block's candidates that no pair of the
-        staircase mirrored in (mx, my) dominates."""
+        staircase mirrored in (mx, my) dominates.
+
+        A candidate's successor b-count is my at the first position whose
+        a-count in mx is at least the candidate's. When the block's a-counts
+        span fewer values than the block holds, one search of the sorted
+        range lo..hi tabulates that successor for every value in it, and
+        each candidate reads its entry; the table holds the values the
+        per-candidate search would find, so the survivors are the same, and
+        the table is never longer than the block. Once a block's range is as
+        long as the block, the rest of the sweep searches per candidate
+        without testing the range again: with long runs the ranges are many
+        times the block length from the first row on, and the test's two
+        reductions per block would be pure cost.
+        """
         m = len(x)
-        j = np.frombuffer(mx, dtype=np.uint64).searchsorted(x)
-        successor_y = np.frombuffer(my, dtype=np.uint64).take(j, out=self.t[:m])
+        stair_x = np.frombuffer(mx, dtype=np.uint64)
+        stair_y = np.frombuffer(my, dtype=np.uint64)
+        if self.dense:
+            lo = x.min()
+            width = int(x.max() - lo) + 1
+            self.dense = width <= m
+        if self.dense:
+            values = np.arange(width, dtype=np.uint64)
+            values += lo
+            table = stair_y.take(stair_x.searchsorted(values))
+            offset = np.subtract(x, lo, out=self.t[:m]).view(np.intp)
+            successor_y = table.take(offset)
+        else:
+            j = stair_x.searchsorted(x)
+            successor_y = stair_y.take(j, out=self.t[:m])
         keep = np.greater(successor_y, y, out=self.keep[:m])
         return keep.nonzero()[0]
 

@@ -59,6 +59,19 @@ class TestBuild:
         err = capsys.readouterr().err
         assert "'x'" in err and "2" in err
 
+    def test_non_ascii_byte(self, capsys, monkeypatch, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_bytes(b"ab\xffab")
+        assert main(["build", "--input", str(p), "--index",
+                     str(tmp_path / "o.cix")]) == 2
+        assert main(["pnf", "--input", str(p)]) == 2
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"a\x80")))
+        assert main(["build", "--input", "-", "--index",
+                     str(tmp_path / "o.cix")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[:2] == ["error: non-ASCII byte 0xff at byte offset 2"] * 2
+        assert err[2] == "error: non-ASCII byte 0x80 at byte offset 1"
+
     def test_missing_file(self, capsys, tmp_path):
         code = main(["build", "--input", str(tmp_path / "no-such-file"),
                      "--index", str(tmp_path / "o.cix")])
@@ -116,6 +129,18 @@ class TestQuery:
         assert "4 4 occurs" in captured.out
         assert "line 2: malformed query" in captured.err
         assert "line 3: malformed query" in captured.err
+
+    def test_non_ascii_byte(self, capsys, monkeypatch, tmp_path, example_index):
+        q = tmp_path / "queries.txt"
+        q.write_bytes(b"1 1\n\xff 2\n3 3\n")
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(q.read_bytes())))
+        for source in ["-", str(q)]:
+            code = main(["query", "--index", example_index, "--input", source])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out.splitlines() == ["1 1 occurs", "3 3 occurs"]
+            assert "line 2: malformed query" in captured.err
+            assert "\\xff" in captured.err
 
     def test_negative_coordinates_answer_false(self, capsys, monkeypatch,
                                                example_index):
@@ -204,6 +229,12 @@ class TestVerify:
         assert main(["verify", "--count", "3"]) == 2
         err = capsys.readouterr().err
         assert "exactly one" in err and "requires --length" in err
+        assert main(["verify", "--count", "3", "--length", "0"]) == 2
+        assert "--length must be at least 1" in capsys.readouterr().err
+        for p in ["0", "1.5", "-0.2"]:
+            assert main(["verify", "--count", "3", "--length", "5",
+                         "--run-geometric", p]) == 2
+            assert "--run-geometric" in capsys.readouterr().err
 
     def test_oracle_bound_respected(self, capsys, tmp_path):
         p = tmp_path / "long.txt"
@@ -246,6 +277,10 @@ class TestExperiment:
     def test_bad_length(self, capsys):
         assert main(["experiment", "--count", "3", "--length", "0"]) == 2
         assert "--length" in capsys.readouterr().err
+        for p in ["0", "1.5", "nan"]:
+            assert main(["experiment", "--count", "3",
+                         "--run-geometric", p]) == 2
+            assert "--run-geometric" in capsys.readouterr().err
 
 
 class TestBench:

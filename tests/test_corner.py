@@ -1,3 +1,5 @@
+import hashlib
+import io
 import random
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -28,6 +30,7 @@ from cornerindex.corner import (
     lmin_candidates,
 )
 from cornerindex.oracle import bmin_bmax_naive, parikh_set_bruteforce, sliding_window_query
+from cornerindex.persist import serialize
 from cornerindex.rle import RunLengthEncoding, encode
 from cornerindex.textgen import coin_string, geometric_run_string
 
@@ -155,6 +158,20 @@ class TestBatchedSweep:
         rle = _shapes()[shape]
         assert rle.pairs > corner._BLOCK
         assert_matches_reference(rle)
+
+    @pytest.mark.parametrize("rle, digest", [
+        # every block of both sweeps tabulates its successors
+        (encode(coin_string(random.Random(2025), 3000)),
+         "c687789f826ad98254cecf51d0b05550bc8437c41498934d1797f7a11d4b61d4"),
+        # l_max tabulates, l_min searches per candidate from its first block
+        (_shapes()["dominant"],
+         "1967186e72d362248acba312f2c53ab7089b5e74335444cee82f41f8d075c020"),
+    ], ids=["coin", "dominant"])
+    def test_golden_bytes(self, rle, digest):
+        # .cix bytes pin both lists and both peaks in full
+        sink = io.BytesIO()
+        serialize(corner.index_from_rle(rle), sink)
+        assert hashlib.sha256(sink.getvalue()).hexdigest() == digest
 
     @given(run_lists(), st.sampled_from([1, 2, 3, 8, 64]))
     @settings(max_examples=200, deadline=None)
