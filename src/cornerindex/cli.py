@@ -108,38 +108,103 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
+# Most bytes (or characters) of query input read at a time.
+_QUERY_CHUNK = 1 << 16
+
+
+def _parse_queries(text, first: int) -> tuple[list[int], list[int], int]:
+    """The a- and b-counts of the well-formed lines of ``text``, complete
+    lines that each end in a newline, and how many lines were malformed;
+    ``first`` is the number of the first line. Each malformed line is
+    reported on stderr. Blank lines are skipped."""
+    newline = text[-1:]
+    tokens = text.split()
+    pairs = iter(tokens)
+    # When every line is "x y", joining the tokens back two to a line gives
+    # the text again, and the tokens pair up line by line.
+    space = b" " if isinstance(text, bytes) else " "
+    if newline.join(map(space.join, zip(pairs, pairs))) + newline == text:
+        try:
+            nums = list(map(int, tokens))
+        except ValueError:
+            pass
+        else:
+            return nums[0::2], nums[1::2], 0
+    xs: list[int] = []
+    ys: list[int] = []
+    bad = 0
+    for lineno, line in enumerate(text.split(newline)[:-1], start=first):
+        parts = line.split()
+        if not parts:
+            continue
+        try:
+            if len(parts) != 2:
+                raise ValueError("expected two integers")
+            x, y = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            bad += 1
+            print(f"line {lineno}: malformed query ({exc})", file=sys.stderr)
+            continue
+        xs.append(x)
+        ys.append(y)
+    return xs, ys, bad
+
+
+def _answers(fmt: str, xs: list[int], ys: list[int], verdicts: list[bool]) -> str:
+    """One output line per query, each ending in a newline."""
+    pairs = zip(xs, ys, verdicts)
+    if fmt == "jsonl":
+        w = ("false", "true")
+        lines = [f'{{"x": {x}, "y": {y}, "occurs": {w[v]}}}' for x, y, v in pairs]
+    elif fmt == "tsv":
+        lines = [f"{x}\t{y}\t{v:d}" for x, y, v in pairs]
+    else:
+        w = ("not-occurs", "occurs")
+        lines = [f"{x} {y} {w[v]}" for x, y, v in pairs]
+    lines.append("")
+    return "\n".join(lines)
+
+
 def cmd_query(args) -> int:
     index = load_index(args.index)
     # Lines stay bytes, which int() parses, so a non-ASCII byte makes its
     # line malformed instead of failing the decoding of the whole stream.
     if args.input == "-":
-        lines = _stdin()
+        src = _stdin()
         close = None
     else:
-        close = open(args.input, "rb")
-        lines = close
+        src = close = open(args.input, "rb")
+    lineno = 1
     bad_lines = 0
     try:
-        for lineno, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
+        # Answer whatever complete lines are available, so that a pipe gets
+        # its answers before it is closed; a line cut by the chunk end waits
+        # for the next, and the last line needs no newline.
+        read = getattr(src, "read1", src.read)
+        empty = src.read(0)
+        newline = "\n" if isinstance(empty, str) else b"\n"
+        pending = [empty]  # pieces of the line that no chunk has ended yet
+        while True:
+            chunk = read(_QUERY_CHUNK)
+            cut = chunk.rfind(newline) + 1
+            if chunk and not cut:
+                pending.append(chunk)
                 continue
-            parts = line.split()
-            try:
-                if len(parts) != 2:
-                    raise ValueError("expected two integers")
-                x, y = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                bad_lines += 1
-                print(f"line {lineno}: malformed query ({exc})", file=sys.stderr)
-                continue
-            verdict = index.query(x, y)
-            if args.format == "jsonl":
-                print(json.dumps({"x": x, "y": y, "occurs": verdict}))
-            elif args.format == "tsv":
-                print(f"{x}\t{y}\t{int(verdict)}")
-            else:
-                print(f"{x} {y} {'occurs' if verdict else 'not-occurs'}")
+            pending.append(chunk[:cut])
+            text = empty.join(pending)
+            pending = [chunk[cut:]]
+            if text and not chunk:
+                text += newline  # the last line, which has none
+            if text:
+                xs, ys, bad = _parse_queries(text, lineno)
+                lineno += text.count(newline)
+                bad_lines += bad
+                if xs:
+                    verdicts = index.query_many(xs, ys)
+                    sys.stdout.write(_answers(args.format, xs, ys, verdicts))
+                    sys.stdout.flush()
+            if not chunk:
+                break
     finally:
         if close is not None:
             close.close()
@@ -197,6 +262,9 @@ def cmd_verify(args) -> int:
         if args.length is None:
             print("verify: --count requires --length", file=sys.stderr)
             return EXIT_USAGE
+        if args.count < 1:
+            print("verify: --count must be at least 1", file=sys.stderr)
+            return EXIT_USAGE
         if args.length < 1:
             print("verify: --length must be at least 1", file=sys.stderr)
             return EXIT_USAGE
@@ -229,6 +297,9 @@ def cmd_experiment(args) -> int:
     if args.input is not None:
         texts.append(_read_text(args.input, args.alphabet))
     else:
+        if args.count < 1:
+            print("experiment: --count must be at least 1", file=sys.stderr)
+            return EXIT_USAGE
         if args.length is None or args.length < 1:
             print("experiment: --length must be at least 1", file=sys.stderr)
             return EXIT_USAGE
@@ -290,16 +361,25 @@ def cmd_bench(args) -> int:
         (rng.randint(0, index.total_a), rng.randint(0, index.total_b))
         for _ in range(args.count)
     ]
+    xs = [x for x, _ in queries]
+    ys = [y for _, y in queries]
+    # Throughput comes from one batched pass; the per-call pass, whose own
+    # timer calls would weigh on a throughput figure, gives the latencies.
+    t0 = time.perf_counter()
+    hits = sum(index.query_many(xs, ys))
+    wall = time.perf_counter() - t0
     timer = time.perf_counter_ns
     latencies = []
-    hits = 0
-    t0 = time.perf_counter()
+    call_hits = 0
     for x, y in queries:
         q0 = timer()
         if index.query(x, y):
-            hits += 1
+            call_hits += 1
         latencies.append(timer() - q0)
-    wall = time.perf_counter() - t0
+    if call_hits != hits:
+        print(f"bench: query finds {call_hits} occurrences, query_many {hits}",
+              file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     latencies.sort()
 
     def pct(p: float) -> float:

@@ -43,6 +43,10 @@ sweep; a sweep small enough to be one block runs on plain ints, since an
 empty staircase rejects nothing. The optional ``BuildTrace`` records that
 sweep's candidates and mutations, which is also how the candidate lists
 for the order-independence check are produced.
+
+numpy is imported by the first sweep that takes the block path, so loading
+and querying an index, or building one of at most ``_BLOCK`` spans, never
+imports it.
 """
 
 from __future__ import annotations
@@ -51,11 +55,12 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .rle import MAX_TEXT_LENGTH, RunLengthEncoding, encode
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ParikhVector",
@@ -202,10 +207,6 @@ def _finish_insert(
 _BLOCK = 512
 
 
-def _prefix(runs: Sequence[int]) -> np.ndarray:
-    return np.array((0, *runs), dtype=np.uint64).cumsum()
-
-
 class _Blocks:
     """The sweep's candidates in (k, i) order, one numpy block at a time.
 
@@ -213,12 +214,20 @@ class _Blocks:
     has at least ``_BLOCK`` spans, else a group of consecutive short rows
     holding at least ``_BLOCK`` spans (or the remaining ones). Blocks and
     the prefilter's temporaries live in buffers allocated once per sweep.
+    Spans are those of ``first_runs``, with ``second`` the runs between
+    them. numpy is imported here, so only a sweep that takes the block path
+    loads it.
     """
 
-    def __init__(self, p1: np.ndarray, gaps: np.ndarray):
-        self.p1 = p1
-        self.gaps = gaps
-        self.r = r = len(p1) - 1
+    def __init__(self, first_runs: Sequence[int], second: Sequence[int]):
+        import numpy as np
+
+        self.np = np
+        self.p1, self.gaps = (
+            np.array((0, *runs), dtype=np.uint64).cumsum()
+            for runs in (first_runs, second)
+        )
+        self.r = r = len(first_runs)
         cap = max(r, 2 * _BLOCK)
         self.x = np.empty(cap, dtype=np.uint64)
         self.y = np.empty(cap, dtype=np.uint64)
@@ -228,7 +237,7 @@ class _Blocks:
         self.dense = True
 
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        r, p1, gaps = self.r, self.p1, self.gaps
+        np, r, p1, gaps = self.np, self.r, self.p1, self.gaps
         k = 1
         while k <= r:
             w = r - k + 1
@@ -272,6 +281,7 @@ class _Blocks:
         times the block length from the first row on, and the test's two
         reductions per block would be pure cost.
         """
+        np = self.np
         m = len(x)
         stair_x = np.frombuffer(mx, dtype=np.uint64)
         stair_y = np.frombuffer(my, dtype=np.uint64)
@@ -364,7 +374,7 @@ def _sweep(
                 trace.candidates.append(c)
         peak = _feed(xs, ys, spans, trace)[0]
     else:
-        blocks = _Blocks(_prefix(first_runs), _prefix(second))
+        blocks = _Blocks(first_runs, second)
         # uint64 copy of the staircase for the prefilter, synced after each
         # block. my ends with a sentinel that stands for "no successor": it
         # exceeds every b-count of a candidate with x > 0, since the letter
@@ -516,6 +526,19 @@ class CornerIndex:
         if x < 0 or y < 0 or x > self.total_a:
             return False
         return self.bmin(x) <= y <= self.bmax(x)
+
+    def query_many(self, xs: Iterable[int], ys: Iterable[int]) -> list[bool]:
+        """:meth:`query` for each pair (x, y) of ``zip(xs, ys)``, in one loop
+        over the corner lists' coordinates."""
+        min_xs, min_ys = self.l_min.xs, self.l_min.ys
+        max_xs, max_ys = self.l_max.xs, self.l_max.ys
+        total_a = self.total_a
+        # Stored b-counts are non-negative, so bmin(x) <= y rules out y < 0.
+        return [
+            0 <= x <= total_a
+            and min_ys[bisect_left(min_xs, x)] <= y <= max_ys[bisect_right(max_xs, x) - 1]
+            for x, y in zip(xs, ys)
+        ]
 
     def length_tables(self) -> LengthTables:
         """Expand the corner lists into per-length a-count bounds.

@@ -12,8 +12,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 __all__ = [
     "DEFAULT_MAX_TEXT",
     "TextTooLongError",
@@ -73,6 +71,8 @@ def bmin_bmax_naive(s: str, max_n: int = DEFAULT_MAX_TEXT) -> BminBmaxTable:
     Enumerates all substrings, vectorized one start position at a time.
     """
     _check(s, max_n)
+    import numpy as np
+
     n = len(s)
     codes = np.frombuffer(s.encode("ascii"), dtype=np.uint8)
     prefix_a = np.zeros(n + 1, dtype=np.int64)

@@ -1,15 +1,21 @@
 import io
 import json
+import os
+import random
 import struct
 import subprocess
 import sys
+import threading
+import types
 
 import pytest
 
 from conftest import EXAMPLE, EXAMPLE_PNF_A, EXAMPLE_PNF_B
+from cornerindex import cli, corner
 from cornerindex.cli import main
 from cornerindex.corner import build_index
-from cornerindex.persist import load_index, save_index
+from cornerindex.persist import load_index, save_index, serialize
+from cornerindex.textgen import coin_string
 
 
 @pytest.fixture
@@ -24,6 +30,76 @@ def example_index(tmp_path):
     p = str(tmp_path / "text.cix")
     save_index(build_index(EXAMPLE), p)
     return p
+
+
+def _reference_query(index, data: bytes, fmt: str):
+    """stdout, stderr lines and exit code of the per-line query loop that
+    the batched one replaced."""
+    out, err = [], []
+    for lineno, line in enumerate(io.BytesIO(data), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split()
+        try:
+            if len(parts) != 2:
+                raise ValueError("expected two integers")
+            x, y = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            err.append(f"line {lineno}: malformed query ({exc})")
+            continue
+        v = index.query(x, y)
+        if fmt == "jsonl":
+            out.append(json.dumps({"x": x, "y": y, "occurs": v}) + "\n")
+        elif fmt == "tsv":
+            out.append(f"{x}\t{y}\t{int(v)}\n")
+        else:
+            out.append(f"{x} {y} {'occurs' if v else 'not-occurs'}\n")
+    return "".join(out), err, 2 if err else 0
+
+
+def _query_corpus(index, chunk: int) -> bytes:
+    """20,000 seeded query lines, most of them plain "x y" in and out of
+    range. The first chunk starts and ends on a malformed line of integers,
+    one and three of them, the second starts inside a malformed line and
+    goes on with another; around the second boundary sit a
+    CRLF line, a blank line cut by the boundary and well-formed lines that
+    are not plain. The last line has no newline."""
+    rng = random.Random(11)
+
+    def plain() -> bytes:
+        return b"%d %d\n" % (rng.randint(-2, index.total_a + 2),
+                             rng.randint(-2, index.total_b + 2))
+
+    data = bytearray(b"7\n")
+    for boundary, (first, straddling, after) in [
+        (chunk, (b"1 2 3", b"12 foo\n", b"\xff 1\n")),
+        (2 * chunk, (b"3 4\r", b"   \n", b"+5 007\r\n1_0 2\n\t7\t8 \n")),
+    ]:
+        while boundary - len(data) > 40:
+            data += plain()
+        # first ends 3 bytes before the boundary, straddling starts there
+        data += first + b" " * (boundary - len(data) - len(first) - 4) + b"\n"
+        data += straddling + after
+    while data.count(b"\n") < 19_999:
+        data += plain()
+    return bytes(data) + plain().rstrip(b"\n")
+
+
+class _Pieces:
+    """A byte stream whose read1 hands out its data in seeded random pieces,
+    as a pipe does."""
+
+    def __init__(self, data: bytes, seed: int):
+        self.data, self.pos, self.rng = data, 0, random.Random(seed)
+
+    def read1(self, n: int) -> bytes:
+        end = self.pos + min(n, self.rng.randint(1, 5000))
+        piece, self.pos = self.data[self.pos:end], end
+        return piece
+
+    def read(self, n: int) -> bytes:
+        return self.read1(n) if n else b""
 
 
 class TestBuild:
@@ -142,6 +218,49 @@ class TestQuery:
             assert "line 2: malformed query" in captured.err
             assert "\\xff" in captured.err
 
+    @pytest.mark.parametrize("fmt", ["human", "tsv", "jsonl"])
+    def test_batches_match_per_line_loop(self, capsys, monkeypatch, tmp_path, fmt):
+        index = build_index(coin_string(random.Random(5), 3000))
+        path = str(tmp_path / "big.cix")
+        save_index(index, path)
+        data = _query_corpus(index, cli._QUERY_CHUNK)
+        assert len(data) > 2 * cli._QUERY_CHUNK
+        q = tmp_path / "queries.txt"
+        q.write_bytes(data)
+        out, err, code = _reference_query(index, data, fmt)
+        assert len(err) == 4 and out.count("\n") == 20_000 - 4 - 1  # one blank line
+        monkeypatch.setattr(sys, "stdin", types.SimpleNamespace(buffer=_Pieces(data, 3)))
+        for source in [str(q), "-"]:
+            got = main(["query", "--index", path, "--input", source, "--format", fmt])
+            captured = capsys.readouterr()
+            assert captured.out == out
+            assert captured.err.splitlines() == err
+            assert got == code
+
+    def test_answers_before_end_of_input(self, example_index):
+        # with its own buffering, the child's answers wait for its flushes
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        child = subprocess.Popen(
+            [sys.executable, "-m", "cornerindex", "query", "--index", example_index],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env,
+        )
+        first = []
+        reader = threading.Thread(target=lambda: first.append(child.stdout.readline()))
+        try:
+            child.stdin.write(b"3 3\n5 ")
+            child.stdin.flush()
+            reader.start()
+            reader.join(timeout=10)
+            assert first == [b"3 3 occurs\n"]
+            child.stdin.write(b"1\n")
+            child.stdin.close()
+            assert child.stdout.read() == b"5 1 not-occurs\n"
+            assert child.wait(timeout=10) == 0
+        finally:
+            child.kill()
+            child.wait()
+            child.stdout.close()
+
     def test_negative_coordinates_answer_false(self, capsys, monkeypatch,
                                                example_index):
         monkeypatch.setattr(sys, "stdin", io.StringIO("-1 3\n"))
@@ -231,6 +350,9 @@ class TestVerify:
         assert "exactly one" in err and "requires --length" in err
         assert main(["verify", "--count", "3", "--length", "0"]) == 2
         assert "--length must be at least 1" in capsys.readouterr().err
+        for count in ["0", "-3"]:
+            assert main(["verify", "--count", count, "--length", "5"]) == 2
+            assert "--count must be at least 1" in capsys.readouterr().err
         for p in ["0", "1.5", "-0.2"]:
             assert main(["verify", "--count", "3", "--length", "5",
                          "--run-geometric", p]) == 2
@@ -277,6 +399,12 @@ class TestExperiment:
     def test_bad_length(self, capsys):
         assert main(["experiment", "--count", "3", "--length", "0"]) == 2
         assert "--length" in capsys.readouterr().err
+        for count in ["0", "-2"]:
+            assert main(["experiment", "--count", count, "--length", "5",
+                         "--format", "jsonl"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "--count must be at least 1" in captured.err
         for p in ["0", "1.5", "nan"]:
             assert main(["experiment", "--count", "3",
                          "--run-geometric", p]) == 2
@@ -296,6 +424,11 @@ class TestBench:
         row = json.loads(capsys.readouterr().out)
         assert row["queries"] == 400
         assert row["occurs"] + row["not_occurs"] == 400
+        index = load_index(example_index)
+        rng = random.Random(4)
+        hits = sum(index.query(rng.randint(0, index.total_a),
+                               rng.randint(0, index.total_b)) for _ in range(400))
+        assert row["occurs"] == hits
 
 
 def test_module_entry_point(example_file, tmp_path):
@@ -320,3 +453,58 @@ def test_large_compressible_build(capsys, tmp_path):
     assert idx.query(5000, 0)
     assert not idx.query(50001, 0)
     assert idx.query(50000, 50000)
+
+
+_NO_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now fails
+import cornerindex
+from cornerindex.cli import main
+index = cornerindex.load_index(sys.argv[1])
+assert index.query(3, 3) and index.query_many([3], [3]) == [True]
+for args in (["query", "--index", sys.argv[1], "--input", sys.argv[2]],
+             ["pnf", "--index", sys.argv[1]],
+             ["bench", "--index", sys.argv[1], "--count", "100"],
+             ["build", "--input", sys.argv[3], "--index", sys.argv[4]]):
+    assert main(args) == 0, args
+"""
+
+_LAZY_NUMPY = """
+import sys
+from cornerindex.cli import main
+assert "numpy" not in sys.modules
+assert main(["build", "--input", sys.argv[1], "--index", sys.argv[2]]) == 0
+assert "numpy" in sys.modules
+"""
+
+
+def test_serving_never_imports_numpy(tmp_path, example_index):
+    queries = tmp_path / "queries.txt"
+    queries.write_text("3 3\n5 1\n")
+    small = "ab" * 31  # 31 run pairs, 496 spans: one block
+    assert 31 * 32 // 2 <= corner._BLOCK
+    (tmp_path / "small.txt").write_text(small)
+    out = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY, example_index, str(queries),
+         str(tmp_path / "small.txt"), str(tmp_path / "small.cix")],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[:4] == [
+        "3 3 occurs", "5 1 not-occurs", EXAMPLE_PNF_A, EXAMPLE_PNF_B,
+    ]
+    assert load_index(str(tmp_path / "small.cix")) == build_index(small)
+
+
+def test_block_sweep_imports_numpy_itself(tmp_path):
+    text = coin_string(random.Random(8), 400)  # about 100 run pairs
+    (tmp_path / "text.txt").write_text(text)
+    out = subprocess.run(
+        [sys.executable, "-c", _LAZY_NUMPY, str(tmp_path / "text.txt"),
+         str(tmp_path / "text.cix")],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    sink = io.BytesIO()
+    serialize(build_index(text), sink)
+    assert (tmp_path / "text.cix").read_bytes() == sink.getvalue()

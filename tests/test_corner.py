@@ -229,6 +229,23 @@ class TestQueries:
     def test_matches_sliding_window(self, s, x, y):
         assert build_index(s).query(x, y) == sliding_window_query(s, (x, y))
 
+    @given(binary_strings, st.data())
+    @settings(max_examples=300)
+    def test_query_many_matches_query(self, s, data):
+        idx = build_index(s)
+        coordinate = st.one_of(
+            st.integers(-3, idx.n + 3),
+            st.integers(-(1 << 70), 1 << 70),
+            st.integers((1 << 64) - 2, (1 << 64) + 2),
+        )
+        pairs = data.draw(st.lists(st.tuples(coordinate, coordinate), max_size=40))
+        xs = [x for x, _ in pairs]
+        ys = [y for _, y in pairs]
+        got = idx.query_many(xs, ys)
+        assert got == [idx.query(x, y) for x, y in pairs]
+        assert all(type(v) is bool for v in got)
+        assert idx.query_many(iter(xs), iter(ys)) == got
+
     @given(binary_strings)
     def test_symmetries(self, s):
         idx = build_index(s)
