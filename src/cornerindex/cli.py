@@ -39,26 +39,20 @@ _TO_AB = str.maketrans("01", "ab")
 _FROM_AB = str.maketrans("ab", "01")
 
 
-def _stdin():
-    """Standard input's bytes; a text-only stand-in for it is read as is."""
-    return getattr(sys.stdin, "buffer", sys.stdin)
-
-
 def _read_text(path: str, alphabet: str) -> str:
     if path == "-":
-        data = _stdin().read()
+        data = sys.stdin.buffer.read()
     else:
         with open(path, "rb") as fh:
             data = fh.read()
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise InputFormatError(
-                f"non-ASCII byte 0x{data[exc.start]:02x} at byte offset {exc.start}",
-                position=exc.start,
-            ) from None
-    raw = data.strip()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(
+            f"non-ASCII byte 0x{data[exc.start]:02x} at byte offset {exc.start}",
+            position=exc.start,
+        ) from None
+    raw = text.strip()
     if alphabet == "01":
         bad = re.search(r"[^01]", raw)
         if bad is not None:
@@ -108,51 +102,16 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-# Most bytes (or characters) of query input read at a time.
+# Most bytes of query input read at a time.
 _QUERY_CHUNK = 1 << 16
 
 
-def _parse_queries(text, first: int) -> tuple[list[int], list[int], int]:
-    """The a- and b-counts of the well-formed lines of ``text``, complete
-    lines that each end in a newline, and how many lines were malformed;
-    ``first`` is the number of the first line. Each malformed line is
-    reported on stderr. Blank lines are skipped."""
-    newline = text[-1:]
-    tokens = text.split()
-    pairs = iter(tokens)
-    # When every line is "x y", joining the tokens back two to a line gives
-    # the text again, and the tokens pair up line by line.
-    space = b" " if isinstance(text, bytes) else " "
-    if newline.join(map(space.join, zip(pairs, pairs))) + newline == text:
-        try:
-            nums = list(map(int, tokens))
-        except ValueError:
-            pass
-        else:
-            return nums[0::2], nums[1::2], 0
-    xs: list[int] = []
-    ys: list[int] = []
-    bad = 0
-    for lineno, line in enumerate(text.split(newline)[:-1], start=first):
-        parts = line.split()
-        if not parts:
-            continue
-        try:
-            if len(parts) != 2:
-                raise ValueError("expected two integers")
-            x, y = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            bad += 1
-            print(f"line {lineno}: malformed query ({exc})", file=sys.stderr)
-            continue
-        xs.append(x)
-        ys.append(y)
-    return xs, ys, bad
-
-
-def _answers(fmt: str, xs: list[int], ys: list[int], verdicts: list[bool]) -> str:
-    """One output line per query, each ending in a newline."""
-    pairs = zip(xs, ys, verdicts)
+def _write_answers(index, fmt: str, xs: list[int], ys: list[int]) -> None:
+    """Answer the queries (x, y) of ``zip(xs, ys)`` on stdout, one line
+    each, in one write, and flush it."""
+    if not xs:
+        return
+    pairs = zip(xs, ys, index.query_many(xs, ys))
     if fmt == "jsonl":
         w = ("false", "true")
         lines = [f'{{"x": {x}, "y": {y}, "occurs": {w[v]}}}' for x, y, v in pairs]
@@ -162,7 +121,36 @@ def _answers(fmt: str, xs: list[int], ys: list[int], verdicts: list[bool]) -> st
         w = ("not-occurs", "occurs")
         lines = [f"{x} {y} {w[v]}" for x, y, v in pairs]
     lines.append("")
-    return "\n".join(lines)
+    sys.stdout.write("\n".join(lines))
+    sys.stdout.flush()
+
+
+def _answer_lines(index, fmt: str, text: bytes, first: int) -> int:
+    """Answer the query lines of ``text``, complete lines that each end in a
+    newline, the first of them numbered ``first``; return how many were
+    malformed. Blank lines are skipped. Each malformed line is reported on
+    stderr after the answers to the lines before it."""
+    xs: list[int] = []
+    ys: list[int] = []
+    bad = 0
+    for lineno, line in enumerate(text.split(b"\n")[:-1], start=first):
+        parts = line.split()
+        if not parts:
+            continue
+        try:
+            if len(parts) != 2:
+                raise ValueError("expected two integers")
+            x, y = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            bad += 1
+            _write_answers(index, fmt, xs, ys)
+            xs, ys = [], []
+            print(f"line {lineno}: malformed query ({exc})", file=sys.stderr)
+            continue
+        xs.append(x)
+        ys.append(y)
+    _write_answers(index, fmt, xs, ys)
+    return bad
 
 
 def cmd_query(args) -> int:
@@ -170,7 +158,7 @@ def cmd_query(args) -> int:
     # Lines stay bytes, which int() parses, so a non-ASCII byte makes its
     # line malformed instead of failing the decoding of the whole stream.
     if args.input == "-":
-        src = _stdin()
+        src = sys.stdin.buffer
         close = None
     else:
         src = close = open(args.input, "rb")
@@ -180,29 +168,20 @@ def cmd_query(args) -> int:
         # Answer whatever complete lines are available, so that a pipe gets
         # its answers before it is closed; a line cut by the chunk end waits
         # for the next, and the last line needs no newline.
-        read = getattr(src, "read1", src.read)
-        empty = src.read(0)
-        newline = "\n" if isinstance(empty, str) else b"\n"
-        pending = [empty]  # pieces of the line that no chunk has ended yet
+        pending: list[bytes] = []  # pieces of the line no chunk has ended yet
         while True:
-            chunk = read(_QUERY_CHUNK)
-            cut = chunk.rfind(newline) + 1
+            chunk = src.read1(_QUERY_CHUNK)
+            cut = chunk.rfind(b"\n") + 1
             if chunk and not cut:
                 pending.append(chunk)
                 continue
             pending.append(chunk[:cut])
-            text = empty.join(pending)
+            text = b"".join(pending)
             pending = [chunk[cut:]]
             if text and not chunk:
-                text += newline  # the last line, which has none
-            if text:
-                xs, ys, bad = _parse_queries(text, lineno)
-                lineno += text.count(newline)
-                bad_lines += bad
-                if xs:
-                    verdicts = index.query_many(xs, ys)
-                    sys.stdout.write(_answers(args.format, xs, ys, verdicts))
-                    sys.stdout.flush()
+                text += b"\n"  # the last line, which has none
+            bad_lines += _answer_lines(index, args.format, text, lineno)
+            lineno += text.count(b"\n")
             if not chunk:
                 break
     finally:

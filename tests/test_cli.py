@@ -34,8 +34,9 @@ def example_index(tmp_path):
 
 def _reference_query(index, data: bytes, fmt: str):
     """stdout, stderr lines and exit code of the per-line query loop that
-    the batched one replaced."""
-    out, err = [], []
+    the batched one replaced, and both streams merged in the order that
+    loop wrote them."""
+    out, err, merged = [], [], []
     for lineno, line in enumerate(io.BytesIO(data), start=1):
         line = line.strip()
         if not line:
@@ -47,6 +48,7 @@ def _reference_query(index, data: bytes, fmt: str):
             x, y = int(parts[0]), int(parts[1])
         except ValueError as exc:
             err.append(f"line {lineno}: malformed query ({exc})")
+            merged.append(err[-1] + "\n")
             continue
         v = index.query(x, y)
         if fmt == "jsonl":
@@ -55,7 +57,8 @@ def _reference_query(index, data: bytes, fmt: str):
             out.append(f"{x}\t{y}\t{int(v)}\n")
         else:
             out.append(f"{x} {y} {'occurs' if v else 'not-occurs'}\n")
-    return "".join(out), err, 2 if err else 0
+        merged.append(out[-1])
+    return "".join(out), err, 2 if err else 0, "".join(merged)
 
 
 def _query_corpus(index, chunk: int) -> bytes:
@@ -86,6 +89,11 @@ def _query_corpus(index, chunk: int) -> bytes:
     return bytes(data) + plain().rstrip(b"\n")
 
 
+def _stdin(data: bytes):
+    """A stand-in for sys.stdin whose bytes are ``data``."""
+    return types.SimpleNamespace(buffer=io.BytesIO(data))
+
+
 class _Pieces:
     """A byte stream whose read1 hands out its data in seeded random pieces,
     as a pipe does."""
@@ -97,9 +105,6 @@ class _Pieces:
         end = self.pos + min(n, self.rng.randint(1, 5000))
         piece, self.pos = self.data[self.pos:end], end
         return piece
-
-    def read(self, n: int) -> bytes:
-        return self.read1(n) if n else b""
 
 
 class TestBuild:
@@ -121,7 +126,7 @@ class TestBuild:
         assert values.split("\t")[:4] == ["18", "10", "4", "5"]
 
     def test_stdin(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setattr(sys, "stdin", io.StringIO("abba\n"))
+        monkeypatch.setattr(sys, "stdin", _stdin(b"abba\n"))
         assert main(["build", "--input", "-", "--index",
                      str(tmp_path / "o.cix")]) == 0
         assert "n=4" in capsys.readouterr().out
@@ -141,7 +146,7 @@ class TestBuild:
         assert main(["build", "--input", str(p), "--index",
                      str(tmp_path / "o.cix")]) == 2
         assert main(["pnf", "--input", str(p)]) == 2
-        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"a\x80")))
+        monkeypatch.setattr(sys, "stdin", _stdin(b"a\x80"))
         assert main(["build", "--input", "-", "--index",
                      str(tmp_path / "o.cix")]) == 2
         err = capsys.readouterr().err.splitlines()
@@ -173,7 +178,7 @@ class TestBuild:
 
 class TestQuery:
     def test_human(self, capsys, monkeypatch, example_index):
-        monkeypatch.setattr(sys, "stdin", io.StringIO("3 3\n5 1\n0 0\n"))
+        monkeypatch.setattr(sys, "stdin", _stdin(b"3 3\n5 1\n0 0\n"))
         assert main(["query", "--index", example_index]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out == ["3 3 occurs", "5 1 not-occurs", "0 0 occurs"]
@@ -187,7 +192,7 @@ class TestQuery:
         assert capsys.readouterr().out.splitlines() == ["3\t3\t1", "5\t1\t0"]
 
     def test_jsonl(self, capsys, monkeypatch, example_index):
-        monkeypatch.setattr(sys, "stdin", io.StringIO("9 9\n10 0\n"))
+        monkeypatch.setattr(sys, "stdin", _stdin(b"9 9\n10 0\n"))
         main(["query", "--index", example_index, "--format", "jsonl"])
         rows = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
         assert rows == [
@@ -196,7 +201,7 @@ class TestQuery:
         ]
 
     def test_malformed_lines(self, capsys, monkeypatch, example_index):
-        monkeypatch.setattr(sys, "stdin", io.StringIO("3 3\nfoo\n1 2 3\n4 4\n"))
+        monkeypatch.setattr(sys, "stdin", _stdin(b"3 3\nfoo\n1 2 3\n4 4\n"))
         code = main(["query", "--index", example_index])
         captured = capsys.readouterr()
         assert code == 2
@@ -209,7 +214,7 @@ class TestQuery:
     def test_non_ascii_byte(self, capsys, monkeypatch, tmp_path, example_index):
         q = tmp_path / "queries.txt"
         q.write_bytes(b"1 1\n\xff 2\n3 3\n")
-        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(q.read_bytes())))
+        monkeypatch.setattr(sys, "stdin", _stdin(q.read_bytes()))
         for source in ["-", str(q)]:
             code = main(["query", "--index", example_index, "--input", source])
             captured = capsys.readouterr()
@@ -227,7 +232,7 @@ class TestQuery:
         assert len(data) > 2 * cli._QUERY_CHUNK
         q = tmp_path / "queries.txt"
         q.write_bytes(data)
-        out, err, code = _reference_query(index, data, fmt)
+        out, err, code, _ = _reference_query(index, data, fmt)
         assert len(err) == 4 and out.count("\n") == 20_000 - 4 - 1  # one blank line
         monkeypatch.setattr(sys, "stdin", types.SimpleNamespace(buffer=_Pieces(data, 3)))
         for source in [str(q), "-"]:
@@ -236,6 +241,28 @@ class TestQuery:
             assert captured.out == out
             assert captured.err.splitlines() == err
             assert got == code
+
+    def test_errors_between_answers(self, tmp_path):
+        # both streams into one pipe: each error sits after the answers to
+        # the lines before it, as the per-line loop wrote them; with its own
+        # buffering, the child keeps that order only by flushing
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        index = build_index(coin_string(random.Random(5), 3000))
+        path = str(tmp_path / "big.cix")
+        save_index(index, path)
+        q = tmp_path / "queries.txt"
+        for data in [b"3 3\nfoo\n5 1\n1 2 3\n0 0\n",
+                     _query_corpus(index, cli._QUERY_CHUNK)]:
+            q.write_bytes(data)
+            *_, code, merged = _reference_query(index, data, "human")
+            child = subprocess.run(
+                [sys.executable, "-m", "cornerindex", "query", "--index", path,
+                 "--input", str(q)],
+                stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env,
+                timeout=60,
+            )
+            assert child.stdout.decode() == merged
+            assert child.returncode == code
 
     def test_answers_before_end_of_input(self, example_index):
         # with its own buffering, the child's answers wait for its flushes
@@ -263,14 +290,14 @@ class TestQuery:
 
     def test_negative_coordinates_answer_false(self, capsys, monkeypatch,
                                                example_index):
-        monkeypatch.setattr(sys, "stdin", io.StringIO("-1 3\n"))
+        monkeypatch.setattr(sys, "stdin", _stdin(b"-1 3\n"))
         assert main(["query", "--index", example_index]) == 0
         assert capsys.readouterr().out.strip() == "-1 3 not-occurs"
 
     def test_corrupt_index(self, capsys, tmp_path):
         p = tmp_path / "junk.cix"
         p.write_bytes(b"definitely not an index")
-        monkeypatch_stdin = io.StringIO("1 1\n")
+        monkeypatch_stdin = _stdin(b"1 1\n")
         sys_stdin = sys.stdin
         try:
             sys.stdin = monkeypatch_stdin
@@ -286,7 +313,7 @@ class TestQuery:
             fh.seek(36)
             fh.write(struct.pack("<Q", 1 << 58))
             fh.truncate(68)
-        monkeypatch.setattr(sys, "stdin", io.StringIO("1 1\n"))
+        monkeypatch.setattr(sys, "stdin", _stdin(b"1 1\n"))
         assert main(["query", "--index", example_index]) == 2
         assert "truncated l_min payload" in capsys.readouterr().err
 
