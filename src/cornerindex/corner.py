@@ -11,8 +11,10 @@ staircases. The index stores only the corners of those staircases:
   plus the mandatory entry at x = 0.
 
 Both lists are strictly increasing in both coordinates, so a single binary
-search recovers bmin (successor rule) or bmax (predecessor rule) for any x,
-and a query is two such lookups.
+search recovers bmin (successor rule) or bmax (predecessor rule) for any x.
+A query is those two searches, made in the one call to ``CornerIndex.query``
+on the lists' coordinate tuples, after a range check on x; ``bmin`` and
+``bmax`` make the same lookups through the ``CornerList`` methods.
 
 Construction works on the run-length encoding alone, in one sweep per
 list. Every substring that starts and ends with a full a-run realizes a
@@ -55,6 +57,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
+from operator import lt
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .rle import MAX_TEXT_LENGTH, RunLengthEncoding, encode
@@ -94,15 +97,26 @@ class CornerList(Sequence):
         for p in points:
             xs.append(int(p[0]))
             ys.append(int(p[1]))
+        self._init(tuple(xs), tuple(ys))
+
+    @classmethod
+    def _of(cls, xs: tuple[int, ...], ys: tuple[int, ...]) -> CornerList:
+        """The list with coordinate tuples xs and ys, two equally long
+        tuples of ints, validated as the public constructor validates."""
+        self = cls.__new__(cls)
+        self._init(xs, ys)
+        return self
+
+    def _init(self, xs: tuple[int, ...], ys: tuple[int, ...]) -> None:
+        # Each check is one C-level pass over a tuple.
         if xs and (xs[0] < 0 or ys[0] < 0):
             raise ValueError("corner entries must be non-negative")
-        for i in range(1, len(xs)):
-            if xs[i] <= xs[i - 1] or ys[i] <= ys[i - 1]:
-                raise ValueError(
-                    "corner list must be strictly increasing in both coordinates"
-                )
-        self._xs = tuple(xs)
-        self._ys = tuple(ys)
+        if not (all(map(lt, xs, xs[1:])) and all(map(lt, ys, ys[1:]))):
+            raise ValueError(
+                "corner list must be strictly increasing in both coordinates"
+            )
+        self._xs = xs
+        self._ys = ys
 
     # -- sequence protocol ------------------------------------------------
 
@@ -392,20 +406,22 @@ def _sweep(
             peak = max(peak, block_peak)
             mx[lo:] = array("Q", xs[lo:])
             my[lo:-1] = array("Q", ys[lo:])
-    points = list(zip(xs, ys)) or [(0, 0)]
+    if not xs:
+        xs, ys = [0], [0]
     if not drop_last:
-        points = [(x, y) for (y, x) in points]
+        xs, ys = ys, xs
         if trace is not None:
             trace._swap_all()
-    return CornerList(points), max(peak, len(points))
+    return CornerList._of(tuple(xs), tuple(ys)), max(peak, len(xs))
 
 
-def _filter(pairs: Iterable[ParikhVector]) -> list[ParikhVector]:
-    """Order-free dominance filter in l_min orientation."""
+def _filter(pairs: Iterable[ParikhVector]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Order-free dominance filter in l_min orientation; returns the
+    surviving first and second coordinates."""
     xs: list[int] = []
     ys: list[int] = []
     _feed(xs, ys, pairs, None)
-    return list(zip(xs, ys)) or [(0, 0)]
+    return (tuple(xs), tuple(ys)) if xs else ((0,), (0,))
 
 
 def build_lmin(rle: RunLengthEncoding, trace: BuildTrace | None = None) -> CornerList:
@@ -447,13 +463,13 @@ def assemble_lmin(candidates: Iterable[Sequence[int]]) -> CornerList:
     The final list does not depend on the order; feeding a shuffled
     :func:`lmin_candidates` output reproduces :func:`build_lmin` exactly.
     """
-    return CornerList(_filter((int(p[0]), int(p[1])) for p in candidates))
+    return CornerList._of(*_filter((int(p[0]), int(p[1])) for p in candidates))
 
 
 def assemble_lmax(candidates: Iterable[Sequence[int]]) -> CornerList:
     """Order-independent dominance filter for the mirrored list."""
-    points = _filter((int(p[1]), int(p[0])) for p in candidates)
-    return CornerList([(x, y) for (y, x) in points])
+    ys, xs = _filter((int(p[1]), int(p[0])) for p in candidates)
+    return CornerList._of(xs, ys)
 
 
 class LengthTables(NamedTuple):
@@ -523,22 +539,21 @@ class CornerIndex:
 
         Out-of-range pairs are simply absent (returns False, never raises).
         """
-        if x < 0 or y < 0 or x > self.total_a:
+        if x < 0 or x > self.total_a:
             return False
-        return self.bmin(x) <= y <= self.bmax(x)
+        # bmin and bmax inline: the lookups are those of successor_y and
+        # predecessor_y, and stored b-counts are non-negative, so
+        # bmin(x) <= y rules out y < 0.
+        l_min, l_max = self.l_min, self.l_max
+        return (
+            l_min._ys[bisect_left(l_min._xs, x)]
+            <= y
+            <= l_max._ys[bisect_right(l_max._xs, x) - 1]
+        )
 
     def query_many(self, xs: Iterable[int], ys: Iterable[int]) -> list[bool]:
-        """:meth:`query` for each pair (x, y) of ``zip(xs, ys)``, in one loop
-        over the corner lists' coordinates."""
-        min_xs, min_ys = self.l_min.xs, self.l_min.ys
-        max_xs, max_ys = self.l_max.xs, self.l_max.ys
-        total_a = self.total_a
-        # Stored b-counts are non-negative, so bmin(x) <= y rules out y < 0.
-        return [
-            0 <= x <= total_a
-            and min_ys[bisect_left(min_xs, x)] <= y <= max_ys[bisect_right(max_xs, x) - 1]
-            for x, y in zip(xs, ys)
-        ]
+        """:meth:`query` for each pair (x, y) of ``zip(xs, ys)``."""
+        return list(map(self.query, xs, ys))
 
     def length_tables(self) -> LengthTables:
         """Expand the corner lists into per-length a-count bounds.

@@ -17,7 +17,8 @@ Layout, all integers little-endian:
 
 A bad magic or unknown version raises IndexFormatError. Everything else a
 reader can notice wrong about the payload raises CorruptIndexError with the
-failing check named in the message.
+failing check named in the message; an entry count that the letter totals
+rule out is rejected before any payload is read.
 """
 
 from __future__ import annotations
@@ -82,7 +83,10 @@ def serialize(index: CornerIndex, sink: BinaryIO) -> None:
         sink.write(struct.pack(f"<{len(flat)}Q", *flat))
 
 
-def _read_pairs(source: BinaryIO, count: int, name: str) -> list[tuple[int, int]]:
+def _read_pairs(
+    source: BinaryIO, count: int, name: str
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The a-counts and b-counts of the next ``count`` entries."""
     # Read in bounded chunks: a header may claim far more entries than the
     # stream holds, and a single read of that size would allocate it all.
     chunks = []
@@ -93,16 +97,15 @@ def _read_pairs(source: BinaryIO, count: int, name: str) -> list[tuple[int, int]
             raise CorruptIndexError(f"truncated {name} payload")
         chunks.append(chunk)
         missing -= len(chunk)
-    raw = b"".join(chunks)
-    flat = struct.unpack(f"<{2 * count}Q", raw)
-    return list(zip(flat[0::2], flat[1::2]))
+    flat = struct.unpack(f"<{2 * count}Q", b"".join(chunks))
+    return flat[0::2], flat[1::2]
 
 
-def _validated_list(pairs, name: str) -> CornerList:
-    if not pairs:
+def _validated_list(xs: tuple[int, ...], ys: tuple[int, ...], name: str) -> CornerList:
+    if not xs:
         raise CorruptIndexError(f"{name} is empty")
     try:
-        return CornerList(pairs)
+        return CornerList._of(xs, ys)
     except ValueError:
         # u64 entries are never negative, so the only check that can fail
         # here is monotonicity.
@@ -126,21 +129,30 @@ def deserialize(source: BinaryIO) -> CornerIndex:
         raise IndexFormatError(f"unsupported format version {version}")
     if n != total_a + total_b:
         raise CorruptIndexError("letter totals do not sum to the text length")
-    pairs_min = _read_pairs(source, k_min, "l_min")
-    pairs_max = _read_pairs(source, k_max, "l_max")
-    l_min = _validated_list(pairs_min, "l_min")
-    l_max = _validated_list(pairs_max, "l_max")
-    if pairs_min[-1][0] != total_a:
+    # Both lists are strictly increasing in both coordinates, with a-counts
+    # in 0..total_a and b-counts in 0..total_b.
+    most = min(total_a, total_b) + 1
+    for name, count in (("l_min", k_min), ("l_max", k_max)):
+        if count > most:
+            raise CorruptIndexError(
+                f"{name} claims {count} entries; letter totals {total_a} and "
+                f"{total_b} allow at most {most}"
+            )
+    xs_min, ys_min = _read_pairs(source, k_min, "l_min")
+    xs_max, ys_max = _read_pairs(source, k_max, "l_max")
+    l_min = _validated_list(xs_min, ys_min, "l_min")
+    l_max = _validated_list(xs_max, ys_max, "l_max")
+    if xs_min[-1] != total_a:
         raise CorruptIndexError("l_min does not end at the total a-count")
-    if pairs_min[0][1] != 0:
+    if ys_min[0] != 0:
         raise CorruptIndexError("l_min does not start at b-count zero")
-    if pairs_min[-1][1] > total_b:
+    if ys_min[-1] > total_b:
         raise CorruptIndexError("l_min b-count exceeds the total")
-    if pairs_max[0][0] != 0:
+    if xs_max[0] != 0:
         raise CorruptIndexError("l_max does not start at a-count zero")
-    if pairs_max[-1][1] != total_b:
+    if ys_max[-1] != total_b:
         raise CorruptIndexError("l_max does not end at the total b-count")
-    if pairs_max[-1][0] > total_a:
+    if xs_max[-1] > total_a:
         raise CorruptIndexError("l_max a-count exceeds the total")
     return CornerIndex(
         l_min=l_min,

@@ -175,6 +175,23 @@ class TestBuild:
         err = capsys.readouterr().err
         assert "'a'" in err and "index 2" in err
 
+    @pytest.mark.parametrize("alphabet, text, letters", [
+        ("ab", "  \nabxba", "'a' or 'b'"),
+        ("01", "  \n01x10", "'0' or '1'"),
+    ])
+    def test_invalid_character_offset_counts_leading_whitespace(
+        self, capsys, tmp_path, alphabet, text, letters
+    ):
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        commands = (["build", "--index", str(tmp_path / "o.cix")], ["pnf"],
+                    ["verify"], ["experiment"])
+        for command in commands:
+            assert main([*command, "--input", str(p), "--alphabet", alphabet]) == 2
+        # the 'x' is byte 5 of the file
+        expected = f"error: invalid character 'x' at index 5; expected {letters}"
+        assert capsys.readouterr().err.splitlines() == [expected] * len(commands)
+
 
 class TestQuery:
     def test_human(self, capsys, monkeypatch, example_index):
@@ -308,8 +325,11 @@ class TestQuery:
         assert "bad magic" in capsys.readouterr().err
 
     def test_huge_entry_count(self, capsys, monkeypatch, example_index):
-        # header claims 2^58 l_min entries; only the 68-byte header exists
+        # header claims 2^58 l_min entries, which totals of 2^58 letters
+        # each allow; only the 68-byte header exists
         with open(example_index, "r+b") as fh:
+            fh.seek(12)
+            fh.write(struct.pack("<3Q", 1 << 59, 1 << 58, 1 << 58))
             fh.seek(36)
             fh.write(struct.pack("<Q", 1 << 58))
             fh.truncate(68)

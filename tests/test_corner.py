@@ -16,6 +16,7 @@ from conftest import (
     EXAMPLE_LMIN,
     all_binary_strings,
     assert_matches_reference,
+    reference_corner_points,
 )
 from cornerindex import corner
 from cornerindex.corner import (
@@ -51,7 +52,47 @@ def run_lists(draw):
     return RunLengthEncoding(tuple(a), tuple(b))
 
 
+@st.composite
+def near_corner_lists(draw):
+    """Short point lists over a small range: strictly increasing ones, and
+    ones broken by a negative head, by equal neighbours in one coordinate
+    only, or by one arbitrary entry."""
+    k = draw(st.integers(0, 6))
+    xs, ys = (
+        sorted(draw(st.sets(st.integers(0, 12), min_size=k, max_size=k)))
+        for _ in range(2)
+    )
+    points = [list(p) for p in zip(xs, ys)]
+    flaw = draw(st.sampled_from(["none", "negative head", "equal", "any"]))
+    c = draw(st.integers(0, 1))
+    if points and flaw == "negative head":
+        points[0][c] = draw(st.integers(-3, -1))
+    elif len(points) > 1 and flaw == "equal":
+        i = draw(st.integers(1, k - 1))
+        points[i][c] = points[i - 1][c]
+    elif points and flaw == "any":
+        points[draw(st.integers(0, k - 1))][c] = draw(st.integers(-3, 14))
+    return [tuple(p) for p in points]
+
+
 class TestCornerList:
+    @given(near_corner_lists())
+    @settings(max_examples=500)
+    def test_validation_matches_per_entry_loop(self, points):
+        xs = tuple(x for x, _ in points)
+        ys = tuple(y for _, y in points)
+        try:
+            expected = reference_corner_points(points)
+        except ValueError as exc:
+            for make in (lambda: CornerList(points), lambda: CornerList._of(xs, ys)):
+                with pytest.raises(ValueError) as info:
+                    make()
+                assert str(info.value) == str(exc)
+            return
+        for cl in (CornerList(points), CornerList._of(xs, ys)):
+            assert (cl.xs, cl.ys) == expected
+            assert type(cl.xs) is tuple and type(cl.ys) is tuple
+
     def test_requires_strict_increase(self):
         with pytest.raises(ValueError):
             CornerList([(0, 1), (1, 1)])
@@ -245,6 +286,18 @@ class TestQueries:
         assert got == [idx.query(x, y) for x, y in pairs]
         assert all(type(v) is bool for v in got)
         assert idx.query_many(iter(xs), iter(ys)) == got
+
+    @given(st.text(alphabet="ab", max_size=30))
+    @settings(max_examples=200)
+    def test_query_is_range_check_and_both_lookups(self, s):
+        idx = build_index(s)
+        ta, tb = idx.total_a, idx.total_b
+        xs = [*range(-3, ta + 4), ta + 0.5, 2.5, -0.5, 1 << 70, -(1 << 70)]
+        ys = [*range(-3, tb + 4), tb + 0.5, 2.5, -0.5, 1 << 70, -(1 << 70)]
+        for x in xs:
+            for y in ys:
+                expected = 0 <= x <= ta and idx.bmin(x) <= y <= idx.bmax(x)
+                assert idx.query(x, y) is expected
 
     @given(binary_strings)
     def test_symmetries(self, s):

@@ -1,12 +1,16 @@
 import io
+import os
+import random
 import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EXAMPLE
+from conftest import EXAMPLE, reference_deserialize
+from cornerindex.cli import main
 from cornerindex.corner import build_index
+from cornerindex.textgen import coin_string, geometric_run_string
 from cornerindex.persist import (
     FORMAT_VERSION,
     MAGIC,
@@ -87,6 +91,13 @@ def corrupt(raw: bytearray, offset: int, value: int, width: str = "<Q") -> bytes
     return bytes(raw)
 
 
+def huge_totals() -> bytearray:
+    """The example's bytes with n = 2^59 and letter totals of 2^58 each."""
+    raw = example_bytes()
+    struct.pack_into("<3Q", raw, 12, 1 << 59, 1 << 58, 1 << 58)
+    return raw
+
+
 class TestRejections:
     def test_bad_magic(self):
         raw = example_bytes()
@@ -118,14 +129,37 @@ class TestRejections:
             deserialize(io.BytesIO(raw))
 
     def test_count_beyond_file_size(self, tmp_path):
-        # a header claiming 2^58 entries must not allocate the claimed payload
+        # a header claiming 2^58 entries must not allocate the claimed
+        # payload; totals of 2^58 letters each allow that many entries, so
+        # the count passes the header checks and only the read can fail
         path = tmp_path / "huge.cix"
-        path.write_bytes(corrupt(example_bytes(), 36, 1 << 58)[:68])
+        path.write_bytes(corrupt(huge_totals(), 36, 1 << 58)[:68])
         with pytest.raises(CorruptIndexError, match="truncated l_min payload"):
             load_index(str(path))
-        path.write_bytes(corrupt(example_bytes(), 44, 1 << 58))
+        path.write_bytes(corrupt(huge_totals(), 44, 1 << 58))
         with pytest.raises(CorruptIndexError, match="truncated l_max payload"):
             load_index(str(path))
+
+    def test_count_beyond_totals(self, tmp_path, capsys):
+        # totals of 9 and 9 allow at most 10 entries a list: each list is
+        # strictly increasing with a-counts in 0..9 and b-counts in 0..9
+        raw = bytes(example_bytes())
+        eleven = struct.pack("<22Q", *(v for i in range(11) for v in (i, i)))
+        path = tmp_path / "counts.cix"
+        for offset, payload, name in (
+            (36, eleven + raw[68 + 4 * 16 :], "l_min"),
+            (44, raw[68 : 68 + 4 * 16] + eleven, "l_max"),
+        ):
+            head = corrupt(bytearray(raw[:68]), offset, 11)
+            path.write_bytes(head + payload)
+            message = f"{name} claims 11 entries; letter totals 9 and 9 allow at most 10"
+            with pytest.raises(CorruptIndexError, match=message):
+                load_index(str(path))
+            assert main(["query", "--index", str(path), "--input", os.devnull]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+        # checked before any payload is read: the header alone gets the same error
+        with pytest.raises(CorruptIndexError, match="l_min claims 288230376151711744"):
+            deserialize(io.BytesIO(corrupt(example_bytes(), 36, 1 << 58)[:68]))
 
     def test_empty_list(self):
         raw = corrupt(example_bytes(), 36, 0)  # l_min count -> 0
@@ -174,3 +208,36 @@ class TestRejections:
     def test_empty_stream(self):
         with pytest.raises(IndexFormatError, match="bad magic"):
             deserialize(io.BytesIO(b""))
+
+
+def _outcome(load, raw: bytes):
+    """What loading raw gives: the index with its peaks, or the error."""
+    try:
+        index = load(io.BytesIO(raw))
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return index, index.peak_min, index.peak_max
+
+
+@pytest.mark.parametrize("text", [
+    "", "a", "b", "abba", EXAMPLE,
+    coin_string(random.Random(3), 64),
+    geometric_run_string(random.Random(4), 200, 0.2),
+], ids=["empty", "a", "b", "abba", "example", "coin-64", "runs-200"])
+def test_loader_matches_per_entry_reference(text):
+    # Every u64 but the entry counts (which the totals bound checks before
+    # the reference reads anything), set to five other values, and every
+    # 8-byte truncation: the loader gives the reference's index or error.
+    buf = io.BytesIO()
+    serialize(build_index(text), buf)
+    good = buf.getvalue()
+    mask = (1 << 64) - 1
+    cases = [good[:cut] for cut in range(0, len(good), 8)]
+    for offset in (12, 20, 28, 52, 60, *range(68, len(good), 8)):
+        (v,) = struct.unpack_from("<Q", good, offset)
+        for new in {0, v ^ 1, (v + 1) & mask, (v - 1) & mask, v ^ (1 << 63)} - {v}:
+            raw = bytearray(good)
+            struct.pack_into("<Q", raw, offset, new)
+            cases.append(bytes(raw))
+    for raw in cases:
+        assert _outcome(deserialize, raw) == _outcome(reference_deserialize, raw)
