@@ -1,5 +1,6 @@
 import itertools
 import struct
+import zlib
 from bisect import bisect_left
 from itertools import accumulate
 
@@ -105,13 +106,88 @@ def reference_corner_points(points):
     return tuple(xs), tuple(ys)
 
 
-def reference_deserialize(source):
-    """``persist.deserialize`` as it was before the tuple-slicing loader:
-    entries read as a list of pairs, each list checked by the per-entry
-    loop and the anchors read off the pairs."""
-    from cornerindex.persist import (
-        _CHUNK, _HEADER, FORMAT_VERSION, MAGIC, CorruptIndexError, IndexFormatError,
+_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _v2_layout(raw):
+    """The a- and b-column widths of a version 2 file and the size of its
+    header and payload, all read off its header: each width is the
+    narrowest of 1, 2, 4 and 8 bytes that holds the letter total."""
+    total_a, total_b, k_min, k_max = struct.unpack_from("<4Q", raw, 20)
+    wa, wb = (next(w for w in (1, 2, 4, 8) if t < 256 ** w) for t in (total_a, total_b))
+    return wa, wb, 68 + (wa + wb) * (k_min + k_max)
+
+
+def cix_bytes(version, n, total_a, total_b, l_min, l_max, peak_min, peak_max):
+    """Reference .cix writer for both format versions: the bytes of a file
+    with these header fields and these lists of (a_count, b_count) pairs,
+    laid out as ``version`` says, whether or not the fields are consistent.
+
+    Version 1 stores each entry as two u64s and no checksum; version 2
+    stores four columns, each as wide as its letter total needs, and a CRC32
+    of everything before it."""
+    header = struct.pack(
+        "<8sI7Q", b"CORNERIX", version, n, total_a, total_b,
+        len(l_min), len(l_max), peak_min, peak_max,
     )
+    if version == 1:
+        flat = [v for lst in (l_min, l_max) for point in lst for v in point]
+        return header + struct.pack(f"<{len(flat)}Q", *flat)
+    wa, wb, _ = _v2_layout(header)
+    body = header + b"".join(
+        struct.pack(f"<{len(lst)}{_CODES[width]}", *(point[coord] for point in lst))
+        for lst in (l_min, l_max)
+        for coord, width in ((0, wa), (1, wb))
+    )
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def index_bytes(index, version):
+    """The index written by ``cix_bytes`` in the given format version;
+    version 1 gives the bytes ``persist.serialize`` wrote before format
+    version 2."""
+    return cix_bytes(
+        version, index.n, index.total_a, index.total_b, list(index.l_min),
+        list(index.l_max), index.peak_min, index.peak_max,
+    )
+
+
+def cix_field(raw, name, i, coord):
+    """Offset and struct format of one stored count in the .cix bytes raw:
+    coordinate ``coord`` (0 for the a-count, 1 for the b-count) of entry
+    ``i`` of list ``name``, laid out as the file's own header says."""
+    version, k_min, k_max = struct.unpack_from("<I24x2Q", raw, 8)
+    after = name == "l_max"
+    if version == 1:
+        return 68 + 16 * (k_min * after + i) + 8 * coord, "<Q"
+    wa, wb, _ = _v2_layout(raw)
+    count = k_max if after else k_min
+    offset = 68 + (wa + wb) * k_min * after + wa * count * coord
+    width = (wa, wb)[coord]
+    return offset + width * i, "<" + _CODES[width]
+
+
+def set_count(raw, name, i, coord, value):
+    """Store value in place as the count ``cix_field`` locates in raw, a
+    bytearray; returns raw."""
+    offset, fmt = cix_field(raw, name, i, coord)
+    struct.pack_into(fmt, raw, offset, value)
+    return raw
+
+
+def seal(raw):
+    """A version 2 file made of raw's header and the payload it declares
+    (as much of it as raw holds), closed by a freshly computed CRC32, as a
+    writer would close those bytes."""
+    body = bytes(raw[:_v2_layout(raw)[2]])
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def reference_deserialize(source):
+    """``persist.deserialize`` of a version 1 file as it was before the
+    tuple-slicing loader: entries read as a list of pairs, each list checked
+    by the per-entry loop and the anchors read off the pairs."""
+    from cornerindex.persist import _CHUNK, _HEADER, MAGIC, CorruptIndexError, IndexFormatError
 
     def read_pairs(count, name):
         chunks = []
@@ -144,7 +220,7 @@ def reference_deserialize(source):
     version, n, total_a, total_b, k_min, k_max, peak_min, peak_max = struct.unpack(
         "<I7Q", rest
     )
-    if version != FORMAT_VERSION:
+    if version != 1:
         raise IndexFormatError(f"unsupported format version {version}")
     if n != total_a + total_b:
         raise CorruptIndexError("letter totals do not sum to the text length")

@@ -19,6 +19,7 @@ import random
 import struct
 import time
 
+from conftest import index_bytes, seal, set_count
 from cornerindex.corner import assemble_lmin, build_index, build_lmin, lmin_candidates
 from cornerindex.oracle import (
     bmin_bmax_naive,
@@ -293,38 +294,53 @@ def test_criterion_10_persistence():
             failures += 1
     assert failures == 0
 
+    # Each damaged file gets its named error, in both format versions. A
+    # version 2 file is resealed after each edit, so that the named check
+    # fires and not the checksum; the same edit left unsealed fails the
+    # checksum.
+    example = build_index(EXAMPLE)
     buf = io.BytesIO()
-    serialize(build_index(EXAMPLE), buf)
-    good = buf.getvalue()
+    serialize(example, buf)
+    for version, good in ((1, index_bytes(example, 1)), (2, buf.getvalue())):
+        close = seal if version == 2 else bytes
 
-    def mutated(offset: int, value: int, width: str = "<Q") -> io.BytesIO:
-        raw = bytearray(good)
-        struct.pack_into(width, raw, offset, value)
-        return io.BytesIO(bytes(raw))
+        def header(offset: int, value: int, width: str = "<Q") -> bytes:
+            raw = bytearray(good)
+            struct.pack_into(width, raw, offset, value)
+            return close(raw)
 
-    cases = [
-        (io.BytesIO(b"WRONGMAG" + good[8:]), IndexFormatError, "bad magic"),
-        (io.BytesIO(good[:30]), CorruptIndexError, "truncated header"),
-        (mutated(8, 99, "<I"), IndexFormatError, "unsupported format version 99"),
-        (mutated(20, 5), CorruptIndexError, "letter totals do not sum"),
-        (io.BytesIO(good[:70]), CorruptIndexError, "truncated l_min payload"),
-        (io.BytesIO(good[:-8]), CorruptIndexError, "truncated l_max payload"),
-        (mutated(36, 0), CorruptIndexError, "l_min is empty"),
-        (mutated(68, 6), CorruptIndexError, "not strictly increasing"),
-        (mutated(68 + 3 * 16, 8), CorruptIndexError, "does not end at the total a-count"),
-        (mutated(68 + 8, 1), CorruptIndexError, "does not start at b-count zero"),
-        (mutated(68 + 3 * 16 + 8, 11), CorruptIndexError, "b-count exceeds the total"),
-        (mutated(68 + 4 * 16, 1), CorruptIndexError, "does not start at a-count zero"),
-        (mutated(68 + 8 * 16 + 8, 10), CorruptIndexError, "does not end at the total b-count"),
-        (mutated(68 + 8 * 16, 10), CorruptIndexError, "a-count exceeds the total"),
-    ]
-    for source, exc_type, needle in cases:
-        try:
-            deserialize(source)
-        except exc_type as exc:
-            assert needle in str(exc), (needle, str(exc))
-        else:
-            raise AssertionError(f"corrupt input accepted: expected {needle!r}")
+        def entry(name: str, i: int, coord: int, value: int) -> bytes:
+            return close(set_count(bytearray(good), name, i, coord, value))
+
+        cases = [
+            (b"WRONGMAG" + good[8:], IndexFormatError, "bad magic"),
+            (good[:30], CorruptIndexError, "truncated header"),
+            (header(8, 99, "<I"), IndexFormatError, "unsupported format version 99"),
+            (header(20, 5), CorruptIndexError, "letter totals do not sum"),
+            (good[:70], CorruptIndexError, "truncated l_min payload"),
+            (good[:-8], CorruptIndexError, "truncated l_max payload"),
+            (header(36, 0), CorruptIndexError, "l_min is empty"),
+            (entry("l_min", 0, 0, 6), CorruptIndexError, "not strictly increasing"),
+            (entry("l_min", 3, 0, 8), CorruptIndexError, "does not end at the total a-count"),
+            (entry("l_min", 0, 1, 1), CorruptIndexError, "does not start at b-count zero"),
+            (entry("l_min", 3, 1, 11), CorruptIndexError, "b-count exceeds the total"),
+            (entry("l_max", 0, 0, 1), CorruptIndexError, "does not start at a-count zero"),
+            (entry("l_max", 4, 1, 10), CorruptIndexError, "does not end at the total b-count"),
+            (entry("l_max", 4, 0, 10), CorruptIndexError, "a-count exceeds the total"),
+        ]
+        if version == 2:
+            cases += [
+                (good[:-1], CorruptIndexError, "truncated checksum"),
+                (bytes(set_count(bytearray(good), "l_max", 1, 1, 4)),
+                 CorruptIndexError, "checksum mismatch"),
+            ]
+        for raw, exc_type, needle in cases:
+            try:
+                deserialize(io.BytesIO(raw))
+            except exc_type as exc:
+                assert needle in str(exc), (version, needle, str(exc))
+            else:
+                raise AssertionError(f"corrupt input accepted: expected {needle!r}")
 
 
 @criterion(11, "insertion-order independence")

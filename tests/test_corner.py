@@ -16,6 +16,7 @@ from conftest import (
     EXAMPLE_LMIN,
     all_binary_strings,
     assert_matches_reference,
+    index_bytes,
     reference_corner_points,
 )
 from cornerindex import corner
@@ -200,19 +201,24 @@ class TestBatchedSweep:
         assert rle.pairs > corner._BLOCK
         assert_matches_reference(rle)
 
-    @pytest.mark.parametrize("rle, digest", [
+    @pytest.mark.parametrize("rle, v1_digest, v2_digest", [
         # every block of both sweeps tabulates its successors
         (encode(coin_string(random.Random(2025), 3000)),
-         "c687789f826ad98254cecf51d0b05550bc8437c41498934d1797f7a11d4b61d4"),
+         "c687789f826ad98254cecf51d0b05550bc8437c41498934d1797f7a11d4b61d4",
+         "587ccdc123a6723b394f6ed6acde003b8350ef90b50758db986f9dac03cf7666"),
         # l_max tabulates, l_min searches per candidate from its first block
         (_shapes()["dominant"],
-         "1967186e72d362248acba312f2c53ab7089b5e74335444cee82f41f8d075c020"),
+         "1967186e72d362248acba312f2c53ab7089b5e74335444cee82f41f8d075c020",
+         "c63516828e84e27bf3960a42bbaf31888e49721b1e5603308ce59c5f32c53cfc"),
     ], ids=["coin", "dominant"])
-    def test_golden_bytes(self, rle, digest):
-        # .cix bytes pin both lists and both peaks in full
+    def test_golden_bytes(self, rle, v1_digest, v2_digest):
+        # .cix bytes pin both lists and both peaks in full: the version 1
+        # layout through the reference writer, version 2 as serialize writes it
+        index = corner.index_from_rle(rle)
         sink = io.BytesIO()
-        serialize(corner.index_from_rle(rle), sink)
-        assert hashlib.sha256(sink.getvalue()).hexdigest() == digest
+        serialize(index, sink)
+        assert hashlib.sha256(index_bytes(index, 1)).hexdigest() == v1_digest
+        assert hashlib.sha256(sink.getvalue()).hexdigest() == v2_digest
 
     @given(run_lists(), st.sampled_from([1, 2, 3, 8, 64]))
     @settings(max_examples=200, deadline=None)

@@ -56,6 +56,22 @@ def test_invalid_character_names_position():
     assert "index 3" in str(exc.value)
 
 
+@pytest.mark.parametrize("char", ["x", "A", "0", " ", "\x00", "\x7f", "é", "\u2028", "\ud800"],
+                         ids=["x", "A", "0", "space", "nul", "del", "e-acute", "line-sep",
+                              "surrogate"])
+@pytest.mark.parametrize("at", [0, 4, 8], ids=["first", "middle", "last"])
+def test_invalid_character_anywhere(char, at):
+    # ASCII and non-ASCII alike: the first bad character is named with its
+    # index, and a later one does not change that
+    text = "abbabaabb"
+    for tail in ("", "z"):
+        bad = text[:at] + char + text[at + 1:] + tail
+        with pytest.raises(InputFormatError) as exc:
+            encode(bad)
+        assert str(exc.value) == f"invalid character {char!r} at index {at}; expected 'a' or 'b'"
+        assert exc.value.position == at
+
+
 def test_interior_zero_runs_rejected():
     with pytest.raises(MalformedEncodingError):
         RunLengthEncoding((2, 0), (1, 1))
