@@ -41,7 +41,7 @@ from .persist import (
     save_index,
     serialize,
 )
-from .pnf import PnfPair, pnf_from_index, rank, select, verify_pnf_relations
+from .pnf import PnfPair, pnf_from_index, verify_pnf_relations
 from .rle import (
     InputFormatError,
     MalformedEncodingError,
@@ -90,10 +90,8 @@ __all__ = [
     "load_index",
     "parikh_set_bruteforce",
     "pnf_from_index",
-    "rank",
     "rho",
     "save_index",
-    "select",
     "serialize",
     "sliding_window_query",
     "verify_interval_lemma",

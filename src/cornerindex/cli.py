@@ -81,6 +81,18 @@ def _emit(fmt: str, fields: list[tuple[str, object]], out) -> None:
         print("  ".join(f"{k}={v}" for k, v in fields), file=out)
 
 
+def _size_fields(rle, index) -> list[tuple[str, int]]:
+    """The size statistics ``build`` and ``experiment`` report for one text."""
+    return [
+        ("n", index.n),
+        ("rho", rho(rle)),
+        ("lmin", len(index.l_min)),
+        ("lmax", len(index.l_max)),
+        ("peak_min", index.peak_min),
+        ("peak_max", index.peak_max),
+    ]
+
+
 def cmd_build(args) -> int:
     text = _read_text(args.input, args.alphabet)
     t0 = time.perf_counter()
@@ -88,19 +100,8 @@ def cmd_build(args) -> int:
     index = index_from_rle(rle)
     elapsed = time.perf_counter() - t0
     save_index(index, args.index)
-    _emit(
-        args.format,
-        [
-            ("n", index.n),
-            ("rho", rho(rle)),
-            ("lmin", len(index.l_min)),
-            ("lmax", len(index.l_max)),
-            ("peak_min", index.peak_min),
-            ("peak_max", index.peak_max),
-            ("elapsed_s", f"{elapsed:.3f}"),
-        ],
-        sys.stdout,
-    )
+    fields = _size_fields(rle, index) + [("elapsed_s", f"{elapsed:.3f}")]
+    _emit(args.format, fields, sys.stdout)
     return EXIT_OK
 
 
@@ -291,47 +292,32 @@ def cmd_experiment(args) -> int:
                 texts.append(geometric_run_string(rng, args.length, args.run_geometric))
             else:
                 texts.append(coin_string(rng, args.length))
-    rows = []
-    for text in texts:
-        rle = encode(text)
-        index = index_from_rle(rle)
-        rows.append(
-            (
-                index.n,
-                rho(rle),
-                len(index.l_min),
-                len(index.l_max),
-                index.peak_min,
-                index.peak_max,
-            )
-        )
-    header = ("n", "rho", "lmin", "lmax", "peak_min", "peak_max")
+    rows = [dict(_size_fields(rle, index_from_rle(rle))) for rle in map(encode, texts)]
     if args.format == "jsonl":
         for row in rows:
-            print(json.dumps(dict(zip(header, row))))
+            print(json.dumps(row))
     else:
-        print("\t".join(header))
+        print("\t".join(rows[0]))
         for row in rows:
-            print("\t".join(str(v) for v in row))
-    if rows:
-        from statistics import median
+            print("\t".join(str(v) for v in row.values()))
+    from statistics import median
 
-        ratios_min = [r[2] / r[1] for r in rows if r[1]]
-        ratios_max = [r[3] / r[1] for r in rows if r[1]]
-        peak_ratio_min = [r[4] / r[2] for r in rows]
-        peak_ratio_max = [r[5] / r[3] for r in rows]
-        summary = {
-            "median_lmin_over_rho": median(ratios_min) if ratios_min else None,
-            "median_lmax_over_rho": median(ratios_max) if ratios_max else None,
-            "median_peak_over_final_min": median(peak_ratio_min),
-            "median_peak_over_final_max": median(peak_ratio_max),
-        }
-        if args.format == "jsonl":
-            print(json.dumps({"summary": summary}))
-        else:
-            for key, value in summary.items():
-                shown = "NA" if value is None else f"{value:.4f}"
-                print(f"# {key}\t{shown}")
+    ratios_min = [r["lmin"] / r["rho"] for r in rows if r["rho"]]
+    ratios_max = [r["lmax"] / r["rho"] for r in rows if r["rho"]]
+    peak_ratio_min = [r["peak_min"] / r["lmin"] for r in rows]
+    peak_ratio_max = [r["peak_max"] / r["lmax"] for r in rows]
+    summary = {
+        "median_lmin_over_rho": median(ratios_min) if ratios_min else None,
+        "median_lmax_over_rho": median(ratios_max) if ratios_max else None,
+        "median_peak_over_final_min": median(peak_ratio_min),
+        "median_peak_over_final_max": median(peak_ratio_max),
+    }
+    if args.format == "jsonl":
+        print(json.dumps({"summary": summary}))
+    else:
+        for key, value in summary.items():
+            shown = "NA" if value is None else f"{value:.4f}"
+            print(f"# {key}\t{shown}")
     return EXIT_OK
 
 

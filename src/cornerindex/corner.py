@@ -40,11 +40,11 @@ for every value and each candidate reads its entry; the table holds the
 values a per-candidate search would find, so the survivors are the same.
 From the first block whose range is as long as the block (long runs,
 where it is many times longer), the rest of the sweep searches per
-candidate. Lists, peaks and traces are those of the plain sequential
-sweep; a sweep small enough to be one block runs on plain ints, since an
-empty staircase rejects nothing. The optional ``BuildTrace`` records that
-sweep's candidates and mutations, which is also how the candidate lists
-for the order-independence check are produced.
+candidate. Lists and peaks are those of the plain sequential sweep, which
+runs itself, on plain ints, when the sweep is one block (an empty staircase
+rejects nothing) and when it is traced: the optional ``BuildTrace`` records
+that sweep's candidates and mutations at any size. The candidate lists for
+the order-independence check come from the same span generator.
 
 numpy is imported by the first sweep that takes the block path, so loading
 and querying an index, or building one of at most ``_BLOCK`` spans, never
@@ -167,10 +167,11 @@ class CornerList(Sequence):
 class BuildTrace:
     """Optional record of one list construction.
 
-    ``candidates`` is every inspected pair in generation order (including
-    pairs skipped because they carry no run content), ``inserted`` and
-    ``deleted`` are the mutation events in order. Coordinates are in the
-    list's natural (a_count, b_count) orientation.
+    A traced build is the plain sequential sweep: ``candidates`` is every
+    pair it inspects in generation order (including pairs skipped because
+    they carry no run content), ``inserted`` and ``deleted`` are the
+    mutation events in order. Coordinates are in the list's natural
+    (a_count, b_count) orientation.
     """
 
     candidates: list[ParikhVector] = field(default_factory=list)
@@ -180,39 +181,6 @@ class BuildTrace:
     def _swap_all(self) -> None:
         for lst in (self.candidates, self.inserted, self.deleted):
             lst[:] = [(b, a) for (a, b) in lst]
-
-
-def _finish_insert(
-    xs: list[int], ys: list[int], idx: int, x: int, y: int, trace: BuildTrace | None
-) -> int:
-    """Insert (x, y) at position idx and prune everything it dominates.
-
-    The caller has already established that no stored pair dominates (x, y).
-    Returns the list size immediately after the insertion (the peak moment,
-    before the retroactive deletions shrink the list again).
-    """
-    if idx < len(xs) and xs[idx] == x:
-        # Same a-count stored with more b's: the newcomer supersedes it.
-        if trace is not None:
-            trace.deleted.append((x, ys[idx]))
-        del xs[idx]
-        del ys[idx]
-    xs.insert(idx, x)
-    ys.insert(idx, y)
-    if trace is not None:
-        trace.inserted.append((x, y))
-    size_after = len(xs)
-    # Pairs dominated by (x, y) have smaller a-counts and b-counts >= y;
-    # since stored b-counts increase with position they sit immediately to
-    # the left of the insertion point.
-    i = idx - 1
-    while i >= 0 and ys[i] >= y:
-        if trace is not None:
-            trace.deleted.append((xs[i], ys[i]))
-        del xs[i]
-        del ys[i]
-        i -= 1
-    return size_after
 
 
 # Candidates per numpy block. Short rows are grouped, since one block per
@@ -316,31 +284,67 @@ class _Blocks:
         return keep.nonzero()[0]
 
 
+def _spans(first_runs: Sequence[int], second: Sequence[int]) -> Iterator[ParikhVector]:
+    """Every span's pair in (k, i) order, in plain ints: the span of k
+    first runs starting at run i gives (sum of those runs, sum of the
+    ``second`` runs strictly between them)."""
+    p1 = list(accumulate(first_runs, initial=0))
+    gaps = list(accumulate(second, initial=0))
+    r = len(first_runs)
+    return (
+        (p1[i + k] - p1[i], gaps[i + k - 1] - gaps[i])
+        for k in range(1, r + 1)
+        for i in range(r - k + 1)
+    )
+
+
 def _feed(
-    xs: list[int], ys: list[int], pairs: Iterable[ParikhVector], trace: BuildTrace | None
+    xs: list[int],
+    ys: list[int],
+    pairs: Iterable[ParikhVector],
+    trace: BuildTrace | None = None,
 ) -> tuple[int, int]:
-    """The sequential step: run pairs, in order, through the successor test
-    and insert the undominated ones. Pairs with x == 0 carry no run content
-    and are skipped. Returns the largest list size right after an insertion
-    and the lowest position that changed (len(xs) when nothing did)."""
+    """The sequential step: run pairs, in order, through the successor test,
+    insert the undominated ones and prune what they dominate, recording it
+    all in trace. Pairs with x == 0 carry no run content and are skipped.
+    Returns the largest list size right after an insertion and the lowest
+    position that changed (len(xs) when nothing did)."""
     peak = 0
     lo = len(xs)
     for x, y in pairs:
+        if trace is not None:
+            trace.candidates.append((x, y))
         if x == 0:
             continue
         idx = bisect_left(xs, x)
-        if idx < len(xs) and ys[idx] <= y:
-            # The successor has at least as many a's for at most as many
-            # b's: the candidate is dominated (or already present).
-            continue
-        size = _finish_insert(xs, ys, idx, x, y, trace)
-        if size > peak:
-            peak = size
-        # The new pair sits at idx less the pairs pruned to its left, and
-        # nothing left of it moved.
-        pos = idx - size + len(xs)
-        if pos < lo:
-            lo = pos
+        if idx < len(xs):
+            if ys[idx] <= y:
+                # The successor has at least as many a's for at most as many
+                # b's: the candidate is dominated (or already present).
+                continue
+            if xs[idx] == x:
+                # Same a-count stored with more b's: the newcomer supersedes it.
+                if trace is not None:
+                    trace.deleted.append((x, ys[idx]))
+                del xs[idx]
+                del ys[idx]
+        xs.insert(idx, x)
+        ys.insert(idx, y)
+        if trace is not None:
+            trace.inserted.append((x, y))
+        if len(xs) > peak:
+            peak = len(xs)
+        # Pairs dominated by (x, y) have smaller a-counts and b-counts >= y;
+        # since stored b-counts increase with position they sit immediately
+        # to the left of the insertion point, and nothing left of them moves.
+        while idx and ys[idx - 1] >= y:
+            idx -= 1
+            if trace is not None:
+                trace.deleted.append((xs[idx], ys[idx]))
+            del xs[idx]
+            del ys[idx]
+        if idx < lo:
+            lo = idx
     return peak, lo
 
 
@@ -359,13 +363,14 @@ def _sweep(
     spanned a-runs drop the first one (l_max, swept in swapped orientation,
     so its points and trace are swapped back before returning).
 
-    Spans are generated in (k, i) order, one numpy block at a time. Each
-    block is prefiltered against the staircase as it stood at the block's
-    start; the survivors then go through the sequential step in order.
-    Candidates with x == 0 arise only from a zero-length padding run and
-    carry no run content; they are traced but skipped, and a list left
-    empty gets the boundary entry (0, 0). The peak is the largest size the
-    working list reaches right after an insertion.
+    A traced sweep, or one of at most ``_BLOCK`` spans, is the sequential
+    sweep: every span, in (k, i) order, through the sequential step. Any
+    other forms its spans one numpy block at a time, prefilters each block
+    against the staircase as it stood at the block's start, and sends the
+    survivors through the sequential step in order. Candidates with x == 0
+    come only from a zero-length padding run; they are traced but skipped,
+    and a list left empty gets the boundary entry (0, 0). The peak is the
+    largest size the working list reaches right after an insertion.
     """
     r = len(first_runs)
     # The second-coordinate runs that separate consecutive first runs, so
@@ -373,20 +378,10 @@ def _sweep(
     second = second_runs if drop_last else second_runs[1:]
     xs: list[int] = []
     ys: list[int] = []
-    if r * (r + 1) // 2 <= _BLOCK:
-        # One block, met by an empty staircase that rejects nothing: plain
-        # ints skip numpy's fixed cost, which dominates inputs this small.
-        p1 = list(accumulate(first_runs, initial=0))
-        gaps = list(accumulate(second, initial=0))
-        spans = [
-            (p1[i + k] - p1[i], gaps[i + k - 1] - gaps[i])
-            for k in range(1, r + 1)
-            for i in range(r - k + 1)
-        ]
-        if trace is not None:
-            for c in spans:
-                trace.candidates.append(c)
-        peak = _feed(xs, ys, spans, trace)[0]
+    if trace is not None or r * (r + 1) // 2 <= _BLOCK:
+        # The block path records no trace. A small sweep meets an empty
+        # staircase, and plain ints skip numpy's fixed cost, which dominates.
+        peak = _feed(xs, ys, _spans(first_runs, second), trace)[0]
     else:
         blocks = _Blocks(first_runs, second)
         # uint64 copy of the staircase for the prefilter, synced after each
@@ -397,12 +392,9 @@ def _sweep(
         my = array("Q", [MAX_TEXT_LENGTH])
         peak = 0
         for bx, by in blocks:
-            if trace is not None:
-                for c in zip(bx.tolist(), by.tolist()):
-                    trace.candidates.append(c)
             keep = blocks.undominated(bx, by, mx, my)
             survivors = zip(bx[keep].tolist(), by[keep].tolist())
-            block_peak, lo = _feed(xs, ys, survivors, trace)
+            block_peak, lo = _feed(xs, ys, survivors)
             peak = max(peak, block_peak)
             mx[lo:] = array("Q", xs[lo:])
             my[lo:-1] = array("Q", ys[lo:])
@@ -420,7 +412,7 @@ def _filter(pairs: Iterable[ParikhVector]) -> tuple[tuple[int, ...], tuple[int, 
     surviving first and second coordinates."""
     xs: list[int] = []
     ys: list[int] = []
-    _feed(xs, ys, pairs, None)
+    _feed(xs, ys, pairs)
     return (tuple(xs), tuple(ys)) if xs else ((0,), (0,))
 
 
@@ -443,18 +435,14 @@ def lmin_candidates(rle: RunLengthEncoding) -> list[ParikhVector]:
     """All r(r+1)/2 candidate pairs for l_min in generation order: the span
     of k consecutive a-runs starting at run i contributes (sum of those
     a-runs, sum of the b-runs strictly between them)."""
-    trace = BuildTrace()
-    build_lmin(rle, trace)
-    return trace.candidates
+    return list(_spans(rle.a_runs, rle.b_runs))
 
 
 def lmax_candidates(rle: RunLengthEncoding) -> list[ParikhVector]:
     """All r(r+1)/2 candidate pairs for l_max in generation order: the span
     of k consecutive b-runs starting at run i contributes (sum of the a-runs
     strictly between them, sum of those b-runs)."""
-    trace = BuildTrace()
-    build_lmax(rle, trace)
-    return trace.candidates
+    return [(a, b) for b, a in _spans(rle.b_runs, rle.a_runs[1:])]
 
 
 def assemble_lmin(candidates: Iterable[Sequence[int]]) -> CornerList:
@@ -502,21 +490,43 @@ def _pnf_runs(
 class CornerIndex:
     """Frozen query structure for one binary string.
 
-    Carries both corner lists plus the string's length and letter totals.
-    The peak_* and inspected_* fields are construction instrumentation
-    (largest working-list size reached, candidates examined); they ride
-    along for reporting and are excluded from equality.
+    Carries both corner lists, which fix the letter totals (``total_a`` is
+    l_min's last a-count, ``total_b`` l_max's last b-count) and ``n``; the
+    constructor raises ValueError when the lists' anchors disagree. These
+    derived fields, and the construction instrumentation peak_* and
+    inspected_* (largest working-list size reached, candidates examined),
+    are excluded from equality.
     """
 
     l_min: CornerList
     l_max: CornerList
-    n: int
-    total_a: int
-    total_b: int
     peak_min: int = field(default=1, compare=False)
     peak_max: int = field(default=1, compare=False)
     inspected_min: int = field(default=0, compare=False)
     inspected_max: int = field(default=0, compare=False)
+    n: int = field(init=False, compare=False)
+    total_a: int = field(init=False, compare=False)
+    total_b: int = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # The coordinate tuples directly: this runs on every load.
+        xs_min, ys_min = self.l_min._xs, self.l_min._ys
+        xs_max, ys_max = self.l_max._xs, self.l_max._ys
+        if not xs_min or not xs_max:
+            raise ValueError("corner lists must not be empty")
+        total_a = xs_min[-1]
+        total_b = ys_max[-1]
+        if ys_min[0] != 0:
+            raise ValueError("l_min does not start at b-count zero")
+        if ys_min[-1] > total_b:
+            raise ValueError("l_min b-count exceeds the total")
+        if xs_max[0] != 0:
+            raise ValueError("l_max does not start at a-count zero")
+        if xs_max[-1] > total_a:
+            raise ValueError("l_max a-count exceeds the total")
+        object.__setattr__(self, "n", total_a + total_b)
+        object.__setattr__(self, "total_a", total_a)
+        object.__setattr__(self, "total_b", total_b)
 
     def bmin(self, x: int) -> int:
         """Fewest b's over substrings with exactly x a's (0 <= x <= total_a)."""
@@ -582,18 +592,7 @@ def index_from_rle(rle: RunLengthEncoding) -> CornerIndex:
     l_min, peak_min = _sweep(rle.a_runs, rle.b_runs, True)
     l_max, peak_max = _sweep(rle.b_runs, rle.a_runs, False)
     spans = rle.pairs * (rle.pairs + 1) // 2
-    total_a, total_b = rle.total_a, rle.total_b
-    return CornerIndex(
-        l_min=l_min,
-        l_max=l_max,
-        n=total_a + total_b,
-        total_a=total_a,
-        total_b=total_b,
-        peak_min=peak_min,
-        peak_max=peak_max,
-        inspected_min=spans,
-        inspected_max=spans,
-    )
+    return CornerIndex(l_min, l_max, peak_min, peak_max, spans, spans)
 
 
 def build_index(s: str) -> CornerIndex:

@@ -222,25 +222,13 @@ def deserialize(source: BinaryIO) -> CornerIndex:
     l_max = _validated_list(xs_max, ys_max, "l_max")
     if xs_min[-1] != total_a:
         raise CorruptIndexError("l_min does not end at the total a-count")
-    if ys_min[0] != 0:
-        raise CorruptIndexError("l_min does not start at b-count zero")
-    if ys_min[-1] > total_b:
-        raise CorruptIndexError("l_min b-count exceeds the total")
-    if xs_max[0] != 0:
-        raise CorruptIndexError("l_max does not start at a-count zero")
     if ys_max[-1] != total_b:
         raise CorruptIndexError("l_max does not end at the total b-count")
-    if xs_max[-1] > total_a:
-        raise CorruptIndexError("l_max a-count exceeds the total")
-    return CornerIndex(
-        l_min=l_min,
-        l_max=l_max,
-        n=n,
-        total_a=total_a,
-        total_b=total_b,
-        peak_min=peak_min,
-        peak_max=peak_max,
-    )
+    # The constructor checks the anchors that tie the two lists together.
+    try:
+        return CornerIndex(l_min, l_max, peak_min, peak_max)
+    except ValueError as exc:
+        raise CorruptIndexError(str(exc)) from None
 
 
 def save_index(index: CornerIndex, path: str) -> None:

@@ -24,28 +24,7 @@ from itertools import accumulate
 
 from .corner import CornerIndex, _pnf_runs
 
-__all__ = ["PnfPair", "rank", "select", "pnf_from_index", "verify_pnf_relations"]
-
-
-def rank(s: str, c: str, i: int) -> int:
-    """Occurrences of character c in s[0:i]; i may run from 0 to len(s)."""
-    if not 0 <= i <= len(s):
-        raise ValueError(f"rank position {i} out of range 0..{len(s)}")
-    return s.count(c, 0, i)
-
-
-def select(s: str, c: str, i: int) -> int:
-    """1-based position of the i-th occurrence of c (1 <= i <= count)."""
-    if i < 1:
-        raise ValueError(f"select ordinal must be positive, got {i}")
-    pos = -1
-    for _ in range(i):
-        pos = s.find(c, pos + 1)
-        if pos < 0:
-            raise ValueError(
-                f"select ordinal {i} exceeds the {s.count(c)} occurrences of {c!r}"
-            )
-    return pos + 1
+__all__ = ["PnfPair", "pnf_from_index", "verify_pnf_relations"]
 
 
 @dataclass(frozen=True)

@@ -240,4 +240,4 @@ def reference_deserialize(source):
         raise CorruptIndexError("l_max does not end at the total b-count")
     if pairs_max[-1][0] > total_a:
         raise CorruptIndexError("l_max a-count exceeds the total")
-    return CornerIndex(l_min, l_max, n, total_a, total_b, peak_min, peak_max)
+    return CornerIndex(l_min, l_max, peak_min, peak_max)

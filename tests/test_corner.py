@@ -18,6 +18,7 @@ from conftest import (
     assert_matches_reference,
     index_bytes,
     reference_corner_points,
+    reference_sweep,
 )
 from cornerindex import corner
 from cornerindex.corner import (
@@ -164,6 +165,21 @@ class TestConstruction:
             assert len(lmin_candidates(r)) == idx.inspected_min
             assert len(lmax_candidates(r)) == idx.inspected_max
         assert (len(idx.l_min), len(idx.l_max)) == (675, 645)  # the big row
+
+    def test_traced_build_is_the_sequential_sweep(self):
+        # A traced build of any size skips the block path, so its lists are
+        # the untraced ones and its events those of the sequential sweep.
+        rle = encode(coin_string(random.Random(2024), 2000))
+        assert rle.pairs * (rle.pairs + 1) // 2 > corner._BLOCK
+        untraced = build_lmin(rle), build_lmax(rle)
+        with mock.patch.object(corner, "_Blocks", side_effect=AssertionError):
+            for build, args, built in (
+                (build_lmin, (rle.a_runs, rle.b_runs, True), untraced[0]),
+                (build_lmax, (rle.b_runs, rle.a_runs, False), untraced[1]),
+            ):
+                trace = BuildTrace()
+                assert build(rle, trace) == built
+                assert trace == reference_sweep(*args)[2]
 
     def test_insertion_order_independent(self):
         rng = random.Random(7)

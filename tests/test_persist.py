@@ -19,7 +19,7 @@ from conftest import (
     set_count,
 )
 from cornerindex.cli import main
-from cornerindex.corner import build_index, index_from_rle
+from cornerindex.corner import CornerIndex, CornerList, build_index, index_from_rle
 from cornerindex.rle import RunLengthEncoding
 from cornerindex.textgen import coin_string, geometric_run_string
 from cornerindex.persist import (
@@ -76,6 +76,25 @@ class TestRoundTrip:
         path = str(tmp_path / "sample.cix")
         save_index(idx, path)
         assert load_index(path) == idx
+
+    def test_totals_follow_the_lists(self):
+        # The letter totals are the lists' ends, so every index the
+        # constructor accepts has column widths that hold its counts.
+        idx = CornerIndex(CornerList([(300, 0)]), CornerList([(0, 1)]))
+        assert (idx.n, idx.total_a, idx.total_b) == (301, 300, 1)
+        back = roundtrip(idx)
+        assert back == idx
+        assert (back.n, back.total_a, back.total_b) == (301, 300, 1)
+
+    @pytest.mark.parametrize("l_min, l_max, message", [
+        ([(2, 1)], [(0, 3)], "l_min does not start at b-count zero"),
+        ([(2, 0), (3, 5)], [(0, 3)], "l_min b-count exceeds the total"),
+        ([(2, 0)], [(1, 3)], "l_max does not start at a-count zero"),
+        ([(9, 0)], [(0, 1), (300, 292)], "l_max a-count exceeds the total"),
+    ])
+    def test_constructor_checks_anchors(self, l_min, l_max, message):
+        with pytest.raises(ValueError, match=message):
+            CornerIndex(CornerList(l_min), CornerList(l_max))
 
     @given(st.text(alphabet="ab", max_size=50))
     @settings(max_examples=150)

@@ -2,51 +2,16 @@ import random
 from collections import defaultdict
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EXAMPLE, EXAMPLE_PNF_A, EXAMPLE_PNF_B, all_binary_strings
 from cornerindex.corner import build_index, index_from_rle
 from cornerindex.oracle import parikh_set_bruteforce
-from cornerindex.pnf import PnfPair, pnf_from_index, rank, select, verify_pnf_relations
+from cornerindex.pnf import PnfPair, pnf_from_index, verify_pnf_relations
 from cornerindex.rle import RunLengthEncoding, encode
 
 binary_strings = st.text(alphabet="ab", max_size=60)
-
-
-class TestRankSelect:
-    def test_rank(self):
-        assert rank("aabab", "a", 0) == 0
-        assert rank("aabab", "a", 3) == 2
-        assert rank("aabab", "b", 5) == 2
-
-    def test_rank_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            rank("ab", "a", 3)
-        with pytest.raises(ValueError, match="out of range"):
-            rank("ab", "a", -1)
-
-    def test_select(self):
-        assert select("aabab", "a", 1) == 1
-        assert select("aabab", "a", 3) == 4
-        assert select("ba", "a", 1) == 2
-
-    def test_select_errors(self):
-        with pytest.raises(ValueError, match="must be positive"):
-            select("ab", "a", 0)
-        with pytest.raises(ValueError, match="exceeds the 1 occurrences"):
-            select("ab", "a", 2)
-
-    @given(binary_strings, st.integers(1, 60))
-    def test_inverse(self, s, i):
-        if i > s.count("a"):
-            with pytest.raises(ValueError):
-                select(s, "a", i)
-        else:
-            pos = select(s, "a", i)
-            assert s[pos - 1] == "a"
-            assert rank(s, "a", pos) == i
 
 
 class TestNormalForms:
@@ -103,7 +68,7 @@ class TestNormalForms:
         for w, c in [(pnfs.pnf_a, "a"), (pnfs.pnf_b, "b")]:
             for m in range(len(w) + 1):
                 windows = {w[i:i + m].count(c) for i in range(len(w) - m + 1)}
-                assert rank(w, c, m) == max(windows)
+                assert w.count(c, 0, m) == max(windows)
 
     @given(binary_strings)
     @settings(max_examples=150)
