@@ -11,10 +11,13 @@ staircases. The index stores only the corners of those staircases:
   plus the mandatory entry at x = 0.
 
 Both lists are strictly increasing in both coordinates, so a single binary
-search recovers bmin (successor rule) or bmax (predecessor rule) for any x.
-A query is those two searches, made in the one call to ``CornerIndex.query``
-on the lists' coordinate tuples, after a range check on x; ``bmin`` and
-``bmax`` make the same lookups through the ``CornerList`` methods.
+search recovers bmin (successor rule) or bmax (predecessor rule) for any x;
+``bmin`` and ``bmax`` make those lookups through the ``CornerList`` methods.
+A query makes one search: the first query on an index merges the two lists,
+in O(|l_min| + |l_max|), into one table of the a-count segments on which
+neither bmin nor bmax changes, with both values per segment and sentinel
+segments below 0 and above total_a that no b-count fits. ``CornerIndex.query``
+then finds x's segment and compares y with its two bounds.
 
 Construction works on the run-length encoding alone, in one sweep per
 list. Every substring that starts and ends with a full a-run realizes a
@@ -56,6 +59,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 from operator import lt
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence, Union
@@ -547,19 +551,60 @@ class CornerIndex:
     def query(self, x: int, y: int) -> bool:
         """Does some substring contain exactly x a's and y b's?
 
-        Out-of-range pairs are simply absent (returns False, never raises).
+        Out-of-range and non-integral pairs are simply absent (returns
+        False, never raises). Integral values of other numeric types, such
+        as numpy integers or 2.0, are answered as the ints they equal.
         """
-        if x < 0 or x > self.total_a:
-            return False
-        # bmin and bmax inline: the lookups are those of successor_y and
-        # predecessor_y, and stored b-counts are non-negative, so
-        # bmin(x) <= y rules out y < 0.
-        l_min, l_max = self.l_min, self.l_max
-        return (
-            l_min._ys[bisect_left(l_min._xs, x)]
-            <= y
-            <= l_max._ys[bisect_right(l_max._xs, x) - 1]
-        )
+        if type(x) is not int or type(y) is not int:
+            if x % 1 or y % 1:
+                return False
+            x, y = int(x), int(y)
+        starts, low, high = self._segments
+        i = bisect_right(starts, x)
+        return low[i] <= y <= high[i]
+
+    @cached_property
+    def _segments(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """(starts, low, high): bmin(x) = low[i] and bmax(x) = high[i] for
+        starts[i - 1] <= x < starts[i], where i = bisect_right(starts, x).
+
+        starts holds every a-count at which bmin or bmax takes a new value:
+        0, each l_max a-count, and each l_min a-count plus one, the last of
+        which is total_a + 1. Rows 0 (x < 0) and len(starts) (x > total_a)
+        hold low = 1 > high = 0, which no y satisfies. Built by the first
+        query, not on load; threads that make first queries at once may
+        each build it, and all build the same table.
+        """
+        xs_min, ys_min = self.l_min._xs, self.l_min._ys
+        ys_max = self.l_max._ys
+        total_a = self.total_a
+        # The a-count at which bmax next steps, after each l_max entry.
+        steps_max = (*self.l_max._xs[1:], total_a + 1)
+        starts, low, high = [], [1], [0]
+        i = j = x = 0
+        while x <= total_a:
+            # Each x is the nearer of xs_min[i] + 1 and steps_max[j] for the
+            # previous x's i and j, so i and j move on by at most one each.
+            if xs_min[i] < x:
+                i += 1
+            if steps_max[j] <= x:
+                j += 1
+            starts.append(x)
+            low.append(ys_min[i])
+            high.append(ys_max[j])
+            x = xs_min[i] + 1
+            if steps_max[j] < x:  # a min() call would double the loop's time
+                x = steps_max[j]
+        starts.append(x)
+        low.append(1)
+        high.append(0)
+        return tuple(starts), tuple(low), tuple(high)
+
+    def __getstate__(self) -> dict:
+        # Pickles and copies carry the corner lists, not the query table.
+        state = self.__dict__.copy()
+        state.pop("_segments", None)
+        return state
 
     def query_many(self, xs: Iterable[int], ys: Iterable[int]) -> list[bool]:
         """:meth:`query` for each pair (x, y) of ``zip(xs, ys)``."""

@@ -93,8 +93,12 @@ def bmin_bmax_naive(s: str, max_n: int = DEFAULT_MAX_TEXT) -> BminBmaxTable:
 
 def sliding_window_query(s: str, q: Sequence[int]) -> bool:
     """Single-query check: does a substring with exactly q = (x, y) a's and
-    b's exist? One O(n) pass over windows of length x + y."""
-    x, y = int(q[0]), int(q[1])
+    b's exist? One O(n) pass over windows of length x + y. No substring
+    holds a fractional count, so a non-integral x or y gives False."""
+    x, y = q[0], q[1]
+    if x % 1 or y % 1:
+        return False
+    x, y = int(x), int(y)
     if x < 0 or y < 0:
         return False
     m = x + y

@@ -1,7 +1,7 @@
 import itertools
 import struct
 import zlib
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from itertools import accumulate
 
 from cornerindex.corner import (
@@ -12,6 +12,7 @@ from cornerindex.corner import (
     build_lmin,
     index_from_rle,
 )
+from cornerindex.rle import MAX_TEXT_LENGTH
 
 # Running example used across the suite: 18 characters, 10 runs.
 EXAMPLE = "aabababbaaabbaabbb"
@@ -21,6 +22,15 @@ EXAMPLE_LMIN = [(3, 0), (5, 2), (7, 4), (9, 6)]
 EXAMPLE_LMAX = [(0, 3), (2, 5), (5, 7), (6, 8), (7, 9)]
 EXAMPLE_PNF_A = "aaabbaabbaabbaabbb"
 EXAMPLE_PNF_B = "bbbaabbaaabbababaa"
+
+# Run lists (a_runs, b_runs) with counts near 2^62 and 2^63; the last one's
+# text has the largest length allowed, 2^64 - 1.
+HUGE_RUNS = [
+    ((1 << 62, (1 << 62) - 5, 3), (1 << 61, 7, 1 << 61)),
+    ((0, 1, (1 << 63) - 1, 2), (5, 1 << 62, 9, 0)),
+    (((1 << 63) + 11, 4), (3, (1 << 62) + 1)),
+    ((MAX_TEXT_LENGTH - 2, 1), (1, 0)),
+]
 
 
 def all_binary_strings(max_len, min_len=0):
@@ -86,6 +96,20 @@ def assert_matches_reference(rle):
         assert list(built) == points
         assert peak == ref_peak
         assert trace == ref_trace
+
+
+def reference_query(index, x, y):
+    """``CornerIndex.query`` for integers x and y as it was before the
+    segment table: a range check on x, then the successor search for bmin
+    in l_min's a-counts and the predecessor search for bmax in l_max's."""
+    if x < 0 or x > index.total_a:
+        return False
+    l_min, l_max = index.l_min, index.l_max
+    return (
+        l_min.ys[bisect_left(l_min.xs, x)]
+        <= y
+        <= l_max.ys[bisect_right(l_max.xs, x) - 1]
+    )
 
 
 def reference_corner_points(points):

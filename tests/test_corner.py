@@ -1,11 +1,15 @@
+import copy
 import hashlib
 import io
+import pickle
 import random
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -14,10 +18,12 @@ from conftest import (
     EXAMPLE_BMIN,
     EXAMPLE_LMAX,
     EXAMPLE_LMIN,
+    HUGE_RUNS,
     all_binary_strings,
     assert_matches_reference,
     index_bytes,
     reference_corner_points,
+    reference_query,
     reference_sweep,
 )
 from cornerindex import corner
@@ -29,11 +35,12 @@ from cornerindex.corner import (
     build_index,
     build_lmax,
     build_lmin,
+    index_from_rle,
     lmax_candidates,
     lmin_candidates,
 )
 from cornerindex.oracle import bmin_bmax_naive, parikh_set_bruteforce, sliding_window_query
-from cornerindex.persist import serialize
+from cornerindex.persist import deserialize, load_index, save_index, serialize
 from cornerindex.rle import RunLengthEncoding, encode
 from cornerindex.textgen import coin_string, geometric_run_string
 
@@ -251,6 +258,18 @@ class TestAgainstOracle:
             assert tuple(idx.bmin(x) for x in range(idx.total_a + 1)) == tbl.bmin, s
             assert tuple(idx.bmax(x) for x in range(idx.total_a + 1)) == tbl.bmax, s
 
+    def test_query_matches_parikh_set(self):
+        # every pair one step beyond the totals, and the half-way points
+        # between them, which no substring holds
+        for s in all_binary_strings(10):
+            idx = build_index(s)
+            pi = parikh_set_bruteforce(s)
+            xs = [*range(-1, idx.total_a + 2), *(v + 0.5 for v in range(-1, idx.total_a + 1))]
+            ys = [*range(-1, idx.total_b + 2), *(v + 0.5 for v in range(-1, idx.total_b + 1))]
+            for x in xs:
+                for y in ys:
+                    assert idx.query(x, y) is ((x, y) in pi), (s, x, y)
+
     def test_corner_lists_are_staircase_corners(self):
         # stored entries are exactly the increase points plus the boundary one
         for s in all_binary_strings(9):
@@ -313,13 +332,65 @@ class TestQueries:
     @settings(max_examples=200)
     def test_query_is_range_check_and_both_lookups(self, s):
         idx = build_index(s)
+        pi = parikh_set_bruteforce(s)
         ta, tb = idx.total_a, idx.total_b
         xs = [*range(-3, ta + 4), ta + 0.5, 2.5, -0.5, 1 << 70, -(1 << 70)]
         ys = [*range(-3, tb + 4), tb + 0.5, 2.5, -0.5, 1 << 70, -(1 << 70)]
         for x in xs:
             for y in ys:
-                expected = 0 <= x <= ta and idx.bmin(x) <= y <= idx.bmax(x)
-                assert idx.query(x, y) is expected
+                got = idx.query(x, y)
+                assert got is ((x, y) in pi)
+                if type(x) is int:
+                    # no substring holds a fractional count of b's
+                    assert got is (0 <= x <= ta and y % 1 == 0
+                                   and idx.bmin(x) <= y <= idx.bmax(x))
+
+    def test_integral_numbers_of_other_types(self):
+        np = pytest.importorskip("numpy")
+        idx = build_index(EXAMPLE)
+        for x in range(-1, idx.total_a + 2):
+            for y in range(-1, idx.total_b + 2):
+                expected = idx.query(x, y)
+                for pair in ((np.int64(x), np.int64(y)), (float(x), y),
+                             (x, float(y)), (np.int8(x), np.float32(y))):
+                    assert idx.query(*pair) is expected
+        assert idx.query(True, False) is idx.query(1, 0) is True
+        for bad in (0.5, float("inf"), float("-inf"), float("nan"), np.float64(2.5)):
+            assert idx.query(bad, 1) is False
+            assert idx.query(1, bad) is False
+        # a numpy count beyond int64 is compared exactly, not as a float
+        top = (1 << 64) - 1
+        huge = index_from_rle(RunLengthEncoding((top - 1,), (1,)))
+        assert huge.query(np.uint64(top - 1), np.uint64(1)) is True
+        assert huge.query(np.uint64(top), np.uint64(0)) is False
+        assert huge.query(np.uint64(top - 1), np.uint64(2)) is False
+
+    @given(run_lists())
+    @example(encode(""))
+    @example(encode("a"))
+    @example(encode("b"))
+    @example(encode("aaaa"))
+    @example(encode("bbb"))
+    @example(RunLengthEncoding((0, 3), (2, 0)))
+    @example(RunLengthEncoding(*HUGE_RUNS[0]))
+    @example(RunLengthEncoding(*HUGE_RUNS[1]))
+    @example(RunLengthEncoding(*HUGE_RUNS[2]))
+    @example(RunLengthEncoding(*HUGE_RUNS[3]))
+    def test_query_matches_reference(self, rle):
+        # probe both sides of every segment boundary, then both sides of
+        # both bounds of each probed a-count
+        idx = index_from_rle(rle)
+        starts = idx._segments[0]
+        far = (1 << 70, -(1 << 70))
+        xs = {*far, *(s + d for s in starts for d in (-1, 0, 1))}
+        for x in xs:
+            ys = {*far, -1, 0, 1, idx.total_b, idx.total_b + 1}
+            if 0 <= x <= idx.total_a:
+                lo, hi = idx.bmin(x), idx.bmax(x)
+                ys.update(lo + d for d in (-1, 0, 1))
+                ys.update(hi + d for d in (-1, 0, 1))
+            for y in ys:
+                assert idx.query(x, y) is reference_query(idx, x, y), (x, y)
 
     @given(binary_strings)
     def test_symmetries(self, s):
@@ -376,3 +447,58 @@ def test_concurrent_queries_are_consistent():
     with ThreadPoolExecutor(max_workers=8) as pool:
         for result in pool.map(worker, range(8)):
             assert result == expected
+
+
+def test_segment_table_is_lazy_and_invisible(tmp_path):
+    s = "aabbbabaaababbbaabab" * 5
+    stream = io.BytesIO()
+    serialize(build_index(s), stream)
+    save_index(build_index(s), tmp_path / "s.cix")
+    loaded = (
+        build_index(s),
+        index_from_rle(encode(s)),
+        deserialize(io.BytesIO(stream.getvalue())),
+        load_index(tmp_path / "s.cix"),
+    )
+    for idx in loaded:
+        assert "_segments" not in vars(idx)
+    fresh, queried = loaded[:2]
+    pairs = [(x, y) for x in range(-1, fresh.total_a + 2)
+             for y in range(-1, fresh.total_b + 2)]
+    answers = [queried.query(x, y) for x, y in pairs]
+    assert "_segments" in vars(queried)
+    assert queried == fresh and hash(queried) == hash(fresh)
+    assert repr(queried) == repr(fresh)
+    assert pickle.dumps(queried) == pickle.dumps(fresh)
+    for twin in (pickle.loads(pickle.dumps(queried)), copy.copy(queried),
+                 copy.deepcopy(queried)):
+        assert twin == fresh and "_segments" not in vars(twin)
+        assert [twin.query(x, y) for x, y in pairs] == answers
+    assert answers == [reference_query(fresh, x, y) for x, y in pairs]
+
+
+def test_concurrent_first_queries():
+    # four threads make the first queries on one fresh index at once, with
+    # thread switches forced often, so several may build the table
+    rng = random.Random(11)
+    s = "".join(rng.choice("ab") for _ in range(2000))
+    expected_index = build_index(s)
+    grid = [(x, y) for x in range(-1, expected_index.total_a + 2, 5)
+            for y in range(-1, expected_index.total_b + 2, 5)]
+    expected = [expected_index.query(x, y) for x, y in grid]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            idx = build_index(s)
+            start = threading.Barrier(4)
+
+            def worker(_):
+                start.wait(timeout=10)
+                return [idx.query(x, y) for x, y in grid]
+
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(worker, range(4), timeout=60))
+            assert results == [expected] * 4
+    finally:
+        sys.setswitchinterval(interval)

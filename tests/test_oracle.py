@@ -78,6 +78,11 @@ class TestSlidingWindow:
         assert not sliding_window_query("ab", (-1, 1))
         assert not sliding_window_query("ab", (1, -1))
         assert not sliding_window_query("ab", (3, 3))
+        # no substring holds half a letter; integral floats count as ints
+        assert not sliding_window_query("ab", (0.5, 0))
+        assert not sliding_window_query("ab", (1, 0.5))
+        assert not sliding_window_query("ab", (float("nan"), 0))
+        assert sliding_window_query("ab", (1.0, 1.0))
 
     @given(binary_strings, st.integers(0, 30), st.integers(0, 30))
     @settings(max_examples=300)

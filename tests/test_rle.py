@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import assert_matches_reference
+from conftest import HUGE_RUNS, assert_matches_reference
 from cornerindex import corner
 from cornerindex.rle import (
     MAX_TEXT_LENGTH,
@@ -91,12 +91,7 @@ def test_total_length_limit():
     assert RunLengthEncoding((MAX_TEXT_LENGTH,), (0,)).total_a == MAX_TEXT_LENGTH
 
 
-@pytest.mark.parametrize("a_runs, b_runs", [
-    ((1 << 62, (1 << 62) - 5, 3), (1 << 61, 7, 1 << 61)),
-    ((0, 1, (1 << 63) - 1, 2), (5, 1 << 62, 9, 0)),
-    (((1 << 63) + 11, 4), (3, (1 << 62) + 1)),
-    ((MAX_TEXT_LENGTH - 2, 1), (1, 0)),
-])
+@pytest.mark.parametrize("a_runs, b_runs", HUGE_RUNS)
 def test_huge_runs_build_exactly(a_runs, b_runs):
     # the numpy sweep works in uint64 (block size 1 sends these few runs
     # through it); sums near the limit must not wrap
