@@ -29,25 +29,29 @@ r(r+1)/2 spans by length k and start i and keeps a sorted working list
 probed with bisect: a candidate costs one successor search, and the
 deletions an insertion triggers are adjacent to the insertion point.
 
-numpy forms the candidates a block at a time from uint64 prefix sums (one
-row of fixed k, or several short rows together) and drops in bulk every
-candidate that the staircase, as it stood at the block's start, already
+numpy forms the candidates a block at a time from uint64 prefix sums: a
+block is several consecutive rows (each of fixed k) laid out as one
+rectangle. It drops in bulk every candidate that the staircase, as it stood
+at the block's start, or a candidate of an earlier row of the block already
 dominates; only the survivors reach the bisect step, in (k, i) order. This
-is exact: every pair of an older staircase is still stored or dominated by
-a stored pair, so the sequential sweep would reject the same candidates,
-and a rejected candidate never changes the list. Each candidate's test
-needs the staircase's successor b-count at its a-count. While a block's
-a-counts span fewer values than the block holds (fair-coin text: a few
-percent of it), one search of that sorted range tabulates the successor
-for every value and each candidate reads its entry; the table holds the
-values a per-candidate search would find, so the survivors are the same.
-From the first block whose range is as long as the block (long runs,
-where it is many times longer), the rest of the sweep searches per
-candidate. Lists and peaks are those of the plain sequential sweep, which
-runs itself, on plain ints, when the sweep is one block (an empty staircase
-rejects nothing) and when it is traced: the optional ``BuildTrace`` records
-that sweep's candidates and mutations at any size. The candidate lists for
-the order-independence check come from the same span generator.
+is exact: once the sequential sweep has seen a pair, the pair is stored or
+dominated by a stored pair, so it would reject the same candidates, and a
+rejected candidate never changes the list. The survivors are therefore
+those of one-row blocks, whatever a block's size. Both tests read one table
+over the block's range of a-counts: its row 0 holds the staircase's
+successor b-count for every value, found by one search of that sorted
+range, and its row d the smaller of row d - 1 and the fewest b's of a
+row d - 1 candidate at that a-count or above. While the table stays within
+a few cells per candidate (fair-coin text), blocks grow to a fixed number
+of cells. A sweep whose first row spans more a-counts than it has spans
+(long runs, where the range is many times longer), or whose table outgrows
+that bound, tests per candidate against the staircase alone from there on,
+in blocks of one long row or of short rows grouped. Lists and peaks are
+those of the plain sequential sweep, which runs itself, on plain ints, when
+the sweep has at most ``_BLOCK`` spans and when it is traced: the optional
+``BuildTrace`` records that sweep's candidates and mutations at any size.
+The candidate lists for the order-independence check come from the same
+span generator.
 
 numpy is imported by the first sweep that takes the block path, so loading
 and querying an index, or building one of at most ``_BLOCK`` spans, never
@@ -187,105 +191,159 @@ class BuildTrace:
             lst[:] = [(b, a) for (a, b) in lst]
 
 
-# Candidates per numpy block. Short rows are grouped, since one block per
-# short row would pay numpy's per-call cost on tiny rows; a sweep with at
-# most this many spans is a single block and does without numpy.
+# Spans per sparse numpy block; short rows are grouped, since one block per
+# short row would pay numpy's per-call cost on tiny rows. A sweep of at most
+# this many spans runs on plain ints and does without numpy: on fair-coin
+# text the block path only catches up at about 300 spans, and below 512 it
+# saves at most some 40 us a sweep, far less than numpy's import (about
+# 0.1 s) costs a command-line build.
 _BLOCK = 512
+# A dense block is a rectangle of at most _DENSE_CELLS * _BLOCK cells, or one
+# longer row, whose row table holds at most _TABLE cells per span.
+_DENSE_CELLS = 32
+_TABLE = 8
 
 
 class _Blocks:
     """The sweep's candidates in (k, i) order, one numpy block at a time.
 
-    A block is one row (fixed span length k, every start i) when the row
-    has at least ``_BLOCK`` spans, else a group of consecutive short rows
-    holding at least ``_BLOCK`` spans (or the remaining ones). Blocks and
-    the prefilter's temporaries live in buffers allocated once per sweep.
-    Spans are those of ``first_runs``, with ``second`` the runs between
-    them. numpy is imported here, so only a sweep that takes the block path
-    loads it.
+    A block is g consecutive rows k..k+g-1 (span lengths k + d, every start
+    i) laid out as one (g, w) rectangle, w = r - k + 1: row d holds its
+    w - d spans in cells i < w - d. Each coordinate is one broadcast
+    subtraction over a strided window of its prefix sums, which are padded
+    past the last run with their last value, so a cell past the end of its
+    row (i >= w - d) repeats the span from start i to the last run, which
+    an earlier row of the block holds.
+
+    A dense sweep gathers as many rows as fit in ``_DENSE_CELLS * _BLOCK``
+    cells. A sparse one keeps rows of at least ``_BLOCK`` spans to
+    themselves and groups shorter rows until they hold ``_BLOCK`` spans. The
+    first row decides before any block is formed: the sweep starts sparse
+    when that row's a-counts span more values than the row has spans. It
+    turns sparse for good at the first block whose row table (see
+    ``undominated``) would hold more than ``_TABLE`` cells per span, and
+    that block is formed again in the sparse shape. Blocks and the
+    prefilter's temporaries live in buffers allocated once per sweep. Spans
+    are those of ``first_runs``, with ``second`` the runs between them.
+    numpy is imported here, so only a sweep that takes the block path loads
+    it.
     """
 
     def __init__(self, first_runs: Sequence[int], second: Sequence[int]):
         import numpy as np
 
         self.np = np
-        self.p1, self.gaps = (
-            np.array((0, *runs), dtype=np.uint64).cumsum()
-            for runs in (first_runs, second)
-        )
         self.r = r = len(first_runs)
-        cap = max(r, 2 * _BLOCK)
-        self.x = np.empty(cap, dtype=np.uint64)
-        self.y = np.empty(cap, dtype=np.uint64)
-        self.t = np.empty(cap, dtype=np.uint64)
-        self.keep = np.empty(cap, dtype=bool)
-        # Whether undominated still tabulates successors (one-way switch).
-        self.dense = True
+        # Prefix sums, then copies of the last one a span uses (p1[r] and
+        # gaps[r - 1]) up to 2r + 1 entries: a block's rows reach index
+        # r + g - 1 of p1.
+        self.p1 = np.empty(2 * r + 1, dtype=np.uint64)
+        self.gaps = np.empty(2 * r + 1, dtype=np.uint64)
+        for sums, runs in ((self.p1, first_runs), (self.gaps, second[: r - 1])):
+            sums[0] = 0
+            np.cumsum(np.array(runs, dtype=np.uint64), out=sums[1 : len(runs) + 1])
+            sums[len(runs) + 1 :] = sums[len(runs)]
+        # Whether blocks read a row table (one-way switch). The first row's
+        # a-counts are the first runs themselves.
+        self.dense = max(first_runs) - min(first_runs) < r
+        cells = min(r * r, max(r, _DENSE_CELLS * _BLOCK))
+        self.x = np.empty(cells, dtype=np.uint64)
+        self.y = np.empty(cells, dtype=np.uint64)
+        self.t = np.empty(cells, dtype=np.uint64)
+        self.cells = np.empty(cells, dtype=np.uint64)
+        self.keep = np.empty(cells, dtype=bool)
+        self.table = np.empty(0, dtype=np.uint64)
+
+    def _rows(self, k: int, g: int) -> tuple[np.ndarray, np.ndarray]:
+        """x and y of rows k..k+g-1 as a (g, r - k + 1) block."""
+        np, w = self.np, self.r - k + 1
+        x = self.x[: g * w].reshape(g, w)
+        y = self.y[: g * w].reshape(g, w)
+        # Row d of the window (shape, dtype, buffer, offset, strides) that
+        # starts at sums[j] is sums[j + d : j + d + w].
+        ends = np.ndarray((g, w), np.uint64, self.p1, 8 * k, (8, 8))
+        np.subtract(ends, self.p1[:w], out=x)
+        ends = np.ndarray((g, w), np.uint64, self.gaps, 8 * (k - 1), (8, 8))
+        np.subtract(ends, self.gaps[:w], out=y)
+        return x, y
 
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        np, r, p1, gaps = self.np, self.r, self.p1, self.gaps
         k = 1
-        while k <= r:
-            w = r - k + 1
-            if w >= _BLOCK:
-                x, y = self.x[:w], self.y[:w]
-                np.subtract(p1[k:], p1[:w], out=x)
-                np.subtract(gaps[k - 1 : r], gaps[:w], out=y)
-                k += 1
-            else:
-                k1, m = k + 1, w
-                while m < _BLOCK and k1 <= r:
-                    m += r - k1 + 1
-                    k1 += 1
-                # (row offset d, start i) of every span of rows k..k1-1, in
-                # order; row k + d has the starts 0..w-1-d.
-                last = np.arange(w - 1, w - 1 - (k1 - k), -1)
-                row, i = np.nonzero(np.arange(w) <= last[:, None])
-                ends = row + k + i
-                x, y, t = self.x[:m], self.y[:m], self.t[:m]
-                np.subtract(p1.take(ends, out=x), p1.take(i, out=t), out=x)
-                ends -= 1
-                np.subtract(gaps.take(ends, out=y), gaps.take(i, out=t), out=y)
-                k = k1
+        while k <= self.r:
+            w = self.r - k + 1
+            if self.dense:
+                g = max(1, min(w, _DENSE_CELLS * _BLOCK // w))
+                x, y = self._rows(k, g)
+                hi = x.max()
+                width = int(hi - x.min()) + 1
+                # Too wide a table turns the sweep sparse; the block is then
+                # formed again in the sparse shape. undominated reads range.
+                self.dense = g * width <= _TABLE * (g * w - g * (g - 1) // 2)
+                self.range = hi, width
+            if not self.dense:
+                g, m = 1, w
+                while m < _BLOCK and g < w:
+                    m += w - g
+                    g += 1
+                x, y = self._rows(k, g)
+            k += g
             yield x, y
 
     def undominated(
         self, x: np.ndarray, y: np.ndarray, mx: array, my: array
     ) -> np.ndarray:
-        """Positions of the block's candidates that no pair of the
-        staircase mirrored in (mx, my) dominates.
+        """Flat positions, in (k, i) order, of the block's spans that no
+        pair of the staircase mirrored in (mx, my) dominates and, while the
+        sweep is dense, that no span of an earlier row of the block
+        dominates either.
 
         A candidate's successor b-count is my at the first position whose
-        a-count in mx is at least the candidate's. When the block's a-counts
-        span fewer values than the block holds, one search of the sorted
-        range lo..hi tabulates that successor for every value in it, and
-        each candidate reads its entry; the table holds the values the
-        per-candidate search would find, so the survivors are the same, and
-        the table is never longer than the block. Once a block's range is as
-        long as the block, the rest of the sweep searches per candidate
-        without testing the range again: with long runs the ranges are many
-        times the block length from the first row on, and the test's two
-        reductions per block would be pure cost.
+        a-count in mx is at least the candidate's. A dense block tabulates,
+        for every a-count v from the block's lowest to its highest hi, a row
+        table E: E[0, hi - v] is that successor, found by one search of the
+        sorted range, and E[d, hi - v] is the smaller of E[d - 1, hi - v] and
+        the fewest b's of a row d - 1 span with at least v a's. A candidate
+        of row d survives when its entry exceeds its b-count. This is exact:
+        a span of an earlier row precedes the candidate in (k, i) order, and
+        once the sequential sweep has seen a span it stores that span or a
+        pair that dominates it, so a candidate the span dominates is one the
+        sweep rejects. The table also rejects the cells past the end of a
+        row, which repeat spans of earlier rows. A sparse block searches per
+        candidate, against the staircase alone, and first masks those cells
+        with the sentinel; with long runs the ranges are many times the
+        block length from the first row on, and a table would be pure cost.
         """
         np = self.np
-        m = len(x)
+        g, w = x.shape
         stair_x = np.frombuffer(mx, dtype=np.uint64)
         stair_y = np.frombuffer(my, dtype=np.uint64)
+        t = self.t[: g * w].reshape(g, w)
         if self.dense:
-            lo = x.min()
-            width = int(x.max() - lo) + 1
-            self.dense = width <= m
-        if self.dense:
+            hi, width = self.range
+            if self.table.size < g * width:
+                self.table = np.empty(g * width, dtype=np.uint64)
+            table = self.table[: g * width].reshape(g, width)
             values = np.arange(width, dtype=np.uint64)
-            values += lo
-            table = stair_y.take(stair_x.searchsorted(values))
-            offset = np.subtract(x, lo, out=self.t[:m]).view(np.intp)
-            successor_y = table.take(offset)
+            np.subtract(hi, values, out=values)
+            stair_y.take(stair_x.searchsorted(values), out=table[0])
+            # Each cell's flat position in the table: row d starts at d * width.
+            cells = self.cells[: g * w].reshape(g, w)
+            cells = np.subtract(hi, x, out=cells).view(np.intp)
+            if g > 1:
+                cells += np.arange(0, g * width, width)[:, None]
+                table[1:] = stair_y[-1]
+                # Each row's fewest b's per a-count, one table row down, then
+                # minima over more a's (fewer hi - v) and over earlier rows.
+                np.minimum.at(table[1:].ravel(), cells[:-1].ravel(), y[:-1].ravel())
+                np.minimum.accumulate(table, axis=1, out=table)
+                np.minimum.accumulate(table, axis=0, out=table)
+            successor_y = table.take(cells, out=t)
         else:
-            j = stair_x.searchsorted(x)
-            successor_y = stair_y.take(j, out=self.t[:m])
-        keep = np.greater(successor_y, y, out=self.keep[:m])
-        return keep.nonzero()[0]
+            for d in range(1, g):
+                y[d, w - d :] = stair_y[-1]
+            successor_y = stair_y.take(stair_x.searchsorted(x), out=t)
+        keep = np.greater(successor_y, y, out=self.keep[: g * w].reshape(g, w))
+        return keep.ravel().nonzero()[0]
 
 
 def _spans(first_runs: Sequence[int], second: Sequence[int]) -> Iterator[ParikhVector]:
@@ -369,8 +427,9 @@ def _sweep(
 
     A traced sweep, or one of at most ``_BLOCK`` spans, is the sequential
     sweep: every span, in (k, i) order, through the sequential step. Any
-    other forms its spans one numpy block at a time, prefilters each block
-    against the staircase as it stood at the block's start, and sends the
+    other forms its spans one numpy block of rows at a time, prefilters each
+    block against the staircase as it stood at the block's start and, while
+    dense, against the block's earlier rows (see ``_Blocks``), and sends the
     survivors through the sequential step in order. Candidates with x == 0
     come only from a zero-length padding run; they are traced but skipped,
     and a list left empty gets the boundary entry (0, 0). The peak is the
@@ -383,8 +442,7 @@ def _sweep(
     xs: list[int] = []
     ys: list[int] = []
     if trace is not None or r * (r + 1) // 2 <= _BLOCK:
-        # The block path records no trace. A small sweep meets an empty
-        # staircase, and plain ints skip numpy's fixed cost, which dominates.
+        # The block path records no trace; see _BLOCK for small sweeps.
         peak = _feed(xs, ys, _spans(first_runs, second), trace)[0]
     else:
         blocks = _Blocks(first_runs, second)
@@ -397,7 +455,7 @@ def _sweep(
         peak = 0
         for bx, by in blocks:
             keep = blocks.undominated(bx, by, mx, my)
-            survivors = zip(bx[keep].tolist(), by[keep].tolist())
+            survivors = zip(bx.take(keep).tolist(), by.take(keep).tolist())
             block_peak, lo = _feed(xs, ys, survivors)
             peak = max(peak, block_peak)
             mx[lo:] = array("Q", xs[lo:])

@@ -101,19 +101,14 @@ def encode(s: str) -> RunLengthEncoding:
             "expected 'a' or 'b'",
             position=bad.start(),
         )
-    a_runs: list[int] = []
-    b_runs: list[int] = []
-    for m in _RUN.finditer(s):
-        length = m.end() - m.start()
-        if s[m.start()] == "a":
-            a_runs.append(length)
-        else:
-            if len(a_runs) == len(b_runs):
-                a_runs.append(0)  # string starts with b, or impossible mid-text
-            b_runs.append(length)
-    if len(a_runs) > len(b_runs):
-        b_runs.append(0)  # string ends with a
-    return RunLengthEncoding(tuple(a_runs), tuple(b_runs))
+    # Runs alternate letters, so after padding the a-runs and b-runs take
+    # turns starting with an a-run.
+    lengths = list(map(len, _RUN.findall(s)))
+    if s.startswith("b"):
+        lengths.insert(0, 0)
+    if len(lengths) % 2:
+        lengths.append(0)  # string ends with a
+    return RunLengthEncoding(tuple(lengths[0::2]), tuple(lengths[1::2]))
 
 
 def decode(rle: RunLengthEncoding) -> str:

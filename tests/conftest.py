@@ -23,13 +23,16 @@ EXAMPLE_LMAX = [(0, 3), (2, 5), (5, 7), (6, 8), (7, 9)]
 EXAMPLE_PNF_A = "aaabbaabbaabbaabbb"
 EXAMPLE_PNF_B = "bbbaabbaaabbababaa"
 
-# Run lists (a_runs, b_runs) with counts near 2^62 and 2^63; the last one's
-# text has the largest length allowed, 2^64 - 1.
+# Run lists (a_runs, b_runs) with counts near 2^61, 2^62 and 2^63; the last
+# two texts have the largest length allowed, 2^64 - 1. The last one's equal
+# runs make both sweeps' first rows narrow, so a block of all four rows
+# would need a row table of about 1.5 * 2^64 cells.
 HUGE_RUNS = [
     ((1 << 62, (1 << 62) - 5, 3), (1 << 61, 7, 1 << 61)),
     ((0, 1, (1 << 63) - 1, 2), (5, 1 << 62, 9, 0)),
     (((1 << 63) + 11, 4), (3, (1 << 62) + 1)),
     ((MAX_TEXT_LENGTH - 2, 1), (1, 0)),
+    ((1 << 61,) * 4, (1 << 61,) * 3 + ((1 << 61) - 1,)),
 ]
 
 

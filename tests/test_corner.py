@@ -5,6 +5,7 @@ import pickle
 import random
 import sys
 import threading
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -41,7 +42,7 @@ from cornerindex.corner import (
 )
 from cornerindex.oracle import bmin_bmax_naive, parikh_set_bruteforce, sliding_window_query
 from cornerindex.persist import deserialize, load_index, save_index, serialize
-from cornerindex.rle import RunLengthEncoding, encode
+from cornerindex.rle import MAX_TEXT_LENGTH, RunLengthEncoding, encode
 from cornerindex.textgen import coin_string, geometric_run_string
 
 binary_strings = st.text(alphabet="ab", max_size=80)
@@ -202,7 +203,7 @@ class TestConstruction:
 
 
 def _shapes():
-    r = 700  # rows k <= 189 are single blocks, the rest are grouped
+    r = 700
     rng = random.Random(3)
     return {
         "equal": RunLengthEncoding((50,) * r, (50,) * r),
@@ -211,7 +212,123 @@ def _shapes():
         "dominant": RunLengthEncoding((1,) * 350 + (10_000,) + (1,) * 349, (1,) * r),
         "coin": encode(coin_string(rng, 2900)),
         "geometric": encode(geometric_run_string(rng, 7000, 0.2)),
+        # about 120 run pairs, so each sweep is a single dense block
+        "one block": encode(coin_string(rng, 480)),
     }
+
+
+def _sweeps(rle):
+    """corner._Blocks's arguments for the l_min and the l_max sweep."""
+    return [(rle.a_runs, rle.b_runs), (rle.b_runs, rle.a_runs[1:])]
+
+
+def _block_modes(first_runs, second):
+    """(dense, rows) of each block the block path forms over these runs."""
+    blocks = corner._Blocks(first_runs, second)
+    return [(blocks.dense, len(x)) for x, _ in blocks]
+
+
+def _block_kinds(first_runs, second):
+    """The kinds of block the block path forms over these runs."""
+    modes = _block_modes(first_runs, second)
+    kinds = set()
+    if any(dense and rows > 1 for dense, rows in modes):
+        kinds.add("dense rows")
+    if any(not dense for dense, _ in modes):
+        kinds.add("sparse")
+    if any(not dense and rows > 1 for dense, rows in modes):
+        kinds.add("masked cells")  # a sparse block with cells past a row's end
+    if modes[0][0] and not modes[-1][0]:
+        kinds.add("switch")
+    return kinds
+
+
+_ALL_BLOCK_KINDS = {"dense rows", "sparse", "masked cells", "switch"}
+
+
+def _random_runs(rng, r, first, second):
+    """Padded run lists of r pairs, a-runs drawn by first(rng) and b-runs by
+    second(rng), with a leading zero a-run or a trailing zero b-run at
+    random, as run_lists() draws them."""
+    a = [first(rng) for _ in range(r)]
+    b = [second(rng) for _ in range(r)]
+    if rng.random() < 0.5:
+        a[0] = 0
+    if rng.random() < 0.5:
+        b[-1] = 0
+    return RunLengthEncoding(tuple(a), tuple(b))
+
+
+def _is_subsequence(part, whole):
+    rest = iter(whole)
+    return all(item in rest for item in part)
+
+
+def _prefiltered(first_runs, second):
+    """The block path of corner._sweep over these runs: per block, the
+    staircase at its start, its spans as (flat position, row, x, y), the
+    positions undominated keeps and whether it read the row table; and
+    every survivor, in order."""
+    blocks = corner._Blocks(first_runs, second)
+    xs, ys = [], []
+    log, survivors = [], []
+    for bx, by in blocks:
+        g, w = bx.shape
+        spans = [(d * w + i, d, int(bx[d, i]), int(by[d, i]))
+                 for d in range(g) for i in range(w - d)]
+        stair = list(zip(xs, ys))
+        keep = blocks.undominated(
+            bx, by, array("Q", xs), array("Q", [*ys, MAX_TEXT_LENGTH])
+        ).tolist()
+        log.append((stair, spans, keep, blocks.dense))
+        kept = [(int(bx.flat[p]), int(by.flat[p])) for p in keep]
+        survivors += kept
+        corner._feed(xs, ys, kept)
+    return log, survivors
+
+
+def _one_row_survivors(first_runs, second):
+    """The survivors of one-row blocks, each row tested against the
+    staircase as it stood at the row's start, from the plain span list."""
+    spans = list(corner._spans(first_runs, second))
+    xs, ys = [], []
+    survivors = []
+    start = 0
+    for w in range(len(first_runs), 0, -1):
+        kept = [(x, y) for x, y in spans[start : start + w]
+                if not any(sx >= x and sy <= y for sx, sy in zip(xs, ys))]
+        survivors += kept
+        corner._feed(xs, ys, kept)
+        start += w
+    return survivors
+
+
+def _narrow_run(rng):
+    return rng.randint(1, 3)
+
+
+def _wide_run(rng):
+    return rng.randint(1, 60)
+
+
+def _long_run(rng):
+    return rng.choice((1000, 1001))
+
+
+def _run_list_run(rng):
+    return rng.randint(1, 12)  # as run_lists() draws them
+
+
+# Per mode: the block size, the range of run pairs, and how a-runs and
+# b-runs are drawn. Narrow runs keep a sweep dense; a first row whose
+# a-counts span more values than the sweep has run pairs starts it sparse;
+# long a-runs of two lengths start the l_min sweep dense and turn it sparse
+# once its blocks gather several rows.
+_PREFILTER_MODES = {
+    "dense": (2, (8, 30), _narrow_run, _narrow_run),
+    "sparse": (8, (3, 20), _wide_run, _wide_run),
+    "switch": (1, (10, 25), _long_run, _narrow_run),
+}
 
 
 class TestBatchedSweep:
@@ -221,15 +338,65 @@ class TestBatchedSweep:
     @pytest.mark.parametrize("shape", sorted(_shapes()))
     def test_shapes(self, shape):
         rle = _shapes()[shape]
-        assert rle.pairs > corner._BLOCK
+        if shape == "one block":
+            for sweep in _sweeps(rle):
+                assert _block_modes(*sweep) == [(True, rle.pairs)]
+        else:
+            assert rle.pairs > corner._BLOCK
         assert_matches_reference(rle)
 
+    def test_shapes_reach_every_block_kind(self):
+        kinds = set()
+        for rle in _shapes().values():
+            for sweep in _sweeps(rle):
+                kinds |= _block_kinds(*sweep)
+        assert kinds == _ALL_BLOCK_KINDS
+
+    @pytest.mark.parametrize("mode", sorted(_PREFILTER_MODES))
+    def test_prefilter_is_tight(self, mode):
+        # Each block keeps exactly the spans that neither the staircase at
+        # its start nor, while dense, a span of an earlier row dominates;
+        # every insertion of the sequential sweep is among the survivors, and
+        # a dense sweep keeps no more than one-row blocks do.
+        block, (lo, hi), first, second = _PREFILTER_MODES[mode]
+        rng = random.Random(mode)
+        reached = set()
+        with mock.patch.object(corner, "_BLOCK", block):
+            for _ in range(12):
+                rle = _random_runs(rng, rng.randint(lo, hi), first, second)
+                for sweep, drop_last in zip(_sweeps(rle), (True, False)):
+                    log, survivors = _prefiltered(*sweep)
+                    for stair, spans, keep, dense in log:
+                        assert keep == [
+                            p for p, d, x, y in spans
+                            if not any(sx >= x and sy <= y for sx, sy in stair)
+                            and not (dense and any(
+                                d2 < d and x2 >= x and y2 <= y
+                                for _, d2, x2, y2 in spans))
+                        ]
+                    if drop_last:
+                        trace = reference_sweep(rle.a_runs, rle.b_runs, True)[2]
+                        inserted = trace.inserted
+                    else:
+                        trace = reference_sweep(rle.b_runs, rle.a_runs, False)[2]
+                        inserted = [(b, a) for a, b in trace.inserted]
+                    assert _is_subsequence(inserted, survivors)
+                    one_row = _one_row_survivors(*sweep)
+                    modes = [dense for _, _, _, dense in log]
+                    if all(modes):
+                        assert survivors == one_row
+                    else:
+                        assert _is_subsequence(one_row, survivors)
+                    reached |= _block_kinds(*sweep)
+        assert {"dense": "dense rows", "sparse": "masked cells",
+                "switch": "switch"}[mode] in reached
+
     @pytest.mark.parametrize("rle, v1_digest, v2_digest", [
-        # every block of both sweeps tabulates its successors
+        # every block of both sweeps reads a row table
         (encode(coin_string(random.Random(2025), 3000)),
          "c687789f826ad98254cecf51d0b05550bc8437c41498934d1797f7a11d4b61d4",
          "587ccdc123a6723b394f6ed6acde003b8350ef90b50758db986f9dac03cf7666"),
-        # l_max tabulates, l_min searches per candidate from its first block
+        # l_max reads row tables, l_min searches per candidate from its first block
         (_shapes()["dominant"],
          "1967186e72d362248acba312f2c53ab7089b5e74335444cee82f41f8d075c020",
          "c63516828e84e27bf3960a42bbaf31888e49721b1e5603308ce59c5f32c53cfc"),
@@ -248,6 +415,22 @@ class TestBatchedSweep:
     def test_any_runs_any_block_size(self, rle, block):
         with mock.patch.object(corner, "_BLOCK", block):
             assert_matches_reference(rle)
+
+    def test_small_block_sizes_reach_every_block_kind(self):
+        # run lists as run_lists() draws them, at the block sizes of
+        # test_any_runs_any_block_size, reach every kind of block
+        rng = random.Random(12)
+        kinds = set()
+        for block in (1, 2, 3, 8, 64):
+            with mock.patch.object(corner, "_BLOCK", block):
+                for _ in range(30):
+                    r = rng.randint(1, 60)
+                    rle = _random_runs(rng, r, _run_list_run, _run_list_run)
+                    if rle.pairs * (rle.pairs + 1) // 2 > block:
+                        for sweep in _sweeps(rle):
+                            kinds |= _block_kinds(*sweep)
+                        assert_matches_reference(rle)
+        assert kinds == _ALL_BLOCK_KINDS
 
 
 class TestAgainstOracle:
@@ -376,6 +559,7 @@ class TestQueries:
     @example(RunLengthEncoding(*HUGE_RUNS[1]))
     @example(RunLengthEncoding(*HUGE_RUNS[2]))
     @example(RunLengthEncoding(*HUGE_RUNS[3]))
+    @example(RunLengthEncoding(*HUGE_RUNS[4]))
     def test_query_matches_reference(self, rle):
         # probe both sides of every segment boundary, then both sides of
         # both bounds of each probed a-count
