@@ -207,13 +207,33 @@ def cmd_pnf(args) -> int:
     return EXIT_OK
 
 
-def _run_parameter_ok(command: str, p: float | None) -> bool:
-    """Whether --run-geometric is unset or a run parameter in (0, 1]; the
-    usage message is printed when it is not."""
-    if p is None or 0.0 < p <= 1.0:
-        return True
-    print(f"{command}: --run-geometric must be in (0, 1], got {p}", file=sys.stderr)
-    return False
+def _corpus(args, draw_lengths: bool) -> list[str] | None:
+    """The texts ``verify`` or ``experiment`` reads: the --input text, or
+    --count random ones of --length characters, or of a length drawn in
+    1..--length each when ``draw_lengths``. Characters are fair coin flips,
+    or alternating runs with --run-geometric. None, after a usage message,
+    when the count, the length or the run parameter is out of range."""
+    if args.input is not None:
+        return [_read_text(args.input, args.alphabet)]
+    command, p = args.command, args.run_geometric
+    if args.count < 1:
+        print(f"{command}: --count must be at least 1", file=sys.stderr)
+        return None
+    if args.length < 1:
+        print(f"{command}: --length must be at least 1", file=sys.stderr)
+        return None
+    if p is not None and not 0.0 < p <= 1.0:
+        print(f"{command}: --run-geometric must be in (0, 1], got {p}", file=sys.stderr)
+        return None
+    rng = random.Random(args.seed)
+    texts = []
+    for _ in range(args.count):
+        length = rng.randint(1, args.length) if draw_lengths else args.length
+        if p is None:
+            texts.append(coin_string(rng, length))
+        else:
+            texts.append(geometric_run_string(rng, length, p))
+    return texts
 
 
 def _verify_one(text: str, max_n: int) -> list[tuple[str, bool]]:
@@ -238,28 +258,12 @@ def cmd_verify(args) -> int:
     if (args.input is None) == (args.count is None):
         print("verify: provide exactly one of --input or --count", file=sys.stderr)
         return EXIT_USAGE
-    if args.input is not None:
-        texts = [_read_text(args.input, args.alphabet)]
-    else:
-        if args.length is None:
-            print("verify: --count requires --length", file=sys.stderr)
-            return EXIT_USAGE
-        if args.count < 1:
-            print("verify: --count must be at least 1", file=sys.stderr)
-            return EXIT_USAGE
-        if args.length < 1:
-            print("verify: --length must be at least 1", file=sys.stderr)
-            return EXIT_USAGE
-        if not _run_parameter_ok("verify", args.run_geometric):
-            return EXIT_USAGE
-        rng = random.Random(args.seed)
-        texts = []
-        for _ in range(args.count):
-            length = rng.randint(1, args.length)
-            if args.run_geometric is not None:
-                texts.append(geometric_run_string(rng, length, args.run_geometric))
-            else:
-                texts.append(coin_string(rng, length))
+    if args.input is None and args.length is None:
+        print("verify: --count requires --length", file=sys.stderr)
+        return EXIT_USAGE
+    texts = _corpus(args, draw_lengths=True)
+    if texts is None:
+        return EXIT_USAGE
     failures = 0
     for i, text in enumerate(texts):
         for name, ok in _verify_one(text, args.max_oracle_n):
@@ -274,24 +278,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    rng = random.Random(args.seed)
-    texts: list[str] = []
-    if args.input is not None:
-        texts.append(_read_text(args.input, args.alphabet))
-    else:
-        if args.count < 1:
-            print("experiment: --count must be at least 1", file=sys.stderr)
-            return EXIT_USAGE
-        if args.length is None or args.length < 1:
-            print("experiment: --length must be at least 1", file=sys.stderr)
-            return EXIT_USAGE
-        if not _run_parameter_ok("experiment", args.run_geometric):
-            return EXIT_USAGE
-        for _ in range(args.count):
-            if args.run_geometric is not None:
-                texts.append(geometric_run_string(rng, args.length, args.run_geometric))
-            else:
-                texts.append(coin_string(rng, args.length))
+    texts = _corpus(args, draw_lengths=False)
+    if texts is None:
+        return EXIT_USAGE
     rows = [dict(_size_fields(rle, index_from_rle(rle))) for rle in map(encode, texts)]
     if args.format == "jsonl":
         for row in rows:

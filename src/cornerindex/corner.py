@@ -10,14 +10,14 @@ staircases. The index stores only the corners of those staircases:
 * ``l_max`` holds (x, bmax(x)) at every x where bmax has just stepped up,
   plus the mandatory entry at x = 0.
 
-Both lists are strictly increasing in both coordinates, so a single binary
-search recovers bmin (successor rule) or bmax (predecessor rule) for any x;
-``bmin`` and ``bmax`` make those lookups through the ``CornerList`` methods.
-A query makes one search: the first query on an index merges the two lists,
-in O(|l_min| + |l_max|), into one table of the a-count segments on which
+Both lists are strictly increasing in both coordinates: bmin(x) is the
+b-count of l_min's first entry at or after x, bmax(x) that of l_max's last
+entry at or before x. The first lookup on an index merges the two lists, in
+O(|l_min| + |l_max|), into one table of the a-count segments on which
 neither bmin nor bmax changes, with both values per segment and sentinel
-segments below 0 and above total_a that no b-count fits. ``CornerIndex.query``
-then finds x's segment and compares y with its two bounds.
+segments below 0 and above total_a that no b-count fits. ``bmin``, ``bmax``
+and ``query`` each find x's segment with one binary search; a query then
+compares y with the segment's two bounds.
 
 Construction works on the run-length encoding alone, in one sweep per
 list. Every substring that starts and ends with a full a-run realizes a
@@ -95,7 +95,7 @@ ParikhVector = tuple[int, int]
 
 class CornerList(Sequence):
     """Immutable list of (a_count, b_count) pairs, strictly increasing in
-    both coordinates. Lookups are binary searches on the a-counts."""
+    both coordinates."""
 
     __slots__ = ("_xs", "_ys")
 
@@ -150,8 +150,6 @@ class CornerList(Sequence):
     def __repr__(self) -> str:
         return f"CornerList({list(self)!r})"
 
-    # -- staircase lookups -------------------------------------------------
-
     @property
     def xs(self) -> tuple[int, ...]:
         return self._xs
@@ -159,16 +157,6 @@ class CornerList(Sequence):
     @property
     def ys(self) -> tuple[int, ...]:
         return self._ys
-
-    def successor_y(self, x: int) -> int | None:
-        """b-count stored at the smallest a-count >= x, if any."""
-        i = bisect_left(self._xs, x)
-        return self._ys[i] if i < len(self._xs) else None
-
-    def predecessor_y(self, x: int) -> int | None:
-        """b-count stored at the largest a-count <= x, if any."""
-        i = bisect_right(self._xs, x) - 1
-        return self._ys[i] if i >= 0 else None
 
 
 @dataclass
@@ -592,19 +580,25 @@ class CornerIndex:
 
     def bmin(self, x: int) -> int:
         """Fewest b's over substrings with exactly x a's (0 <= x <= total_a)."""
-        if x < 0 or x > self.total_a:
-            raise ValueError(f"a-count {x} out of range 0..{self.total_a}")
-        y = self.l_min.successor_y(x)
-        assert y is not None  # the list always ends at x = total_a
-        return y
+        return self._bounds(x)[0]
 
     def bmax(self, x: int) -> int:
         """Most b's over substrings with exactly x a's (0 <= x <= total_a)."""
-        if x < 0 or x > self.total_a:
+        return self._bounds(x)[1]
+
+    def _bounds(self, x: int) -> tuple[int, int]:
+        """(bmin(x), bmax(x)); ValueError unless x is an integral a-count
+        in 0..total_a. Integral values of other numeric types are looked
+        up as the ints they equal, as in :meth:`query`."""
+        if type(x) is not int:
+            if x % 1:
+                raise ValueError(f"a-count {x} is not an integer")
+            x = int(x)
+        starts, low, high = self._segments
+        i = bisect_right(starts, x)
+        if not 0 < i < len(starts):  # a sentinel row
             raise ValueError(f"a-count {x} out of range 0..{self.total_a}")
-        y = self.l_max.predecessor_y(x)
-        assert y is not None  # the list always starts at x = 0
-        return y
+        return low[i], high[i]
 
     def query(self, x: int, y: int) -> bool:
         """Does some substring contain exactly x a's and y b's?
@@ -630,7 +624,7 @@ class CornerIndex:
         0, each l_max a-count, and each l_min a-count plus one, the last of
         which is total_a + 1. Rows 0 (x < 0) and len(starts) (x > total_a)
         hold low = 1 > high = 0, which no y satisfies. Built by the first
-        query, not on load; threads that make first queries at once may
+        lookup, not on load; threads that make first lookups at once may
         each build it, and all build the same table.
         """
         xs_min, ys_min = self.l_min._xs, self.l_min._ys

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -456,6 +457,33 @@ class TestExperiment:
             assert main(["experiment", "--count", "3",
                          "--run-geometric", p]) == 2
             assert "--run-geometric" in capsys.readouterr().err
+
+
+# SHA-256 digests of what one seeded corpus makes each command do: the
+# stdout of `experiment --format jsonl`, and the texts `verify` checks,
+# joined by newlines. verify draws each length in 1..--length, experiment
+# uses --length itself.
+_CORPUS = ["--count", "30", "--length", "400", "--seed", "5"]
+_PINNED_DRAWS = {
+    "coin": ([], "e784f2b7eaed7e87cb3e12cc23e38c1248d34c37fa8f859ea667a430335152eb",
+             "810456756e290221502a32d4b90a00abe8dd9eba1629a3ad9ef70959ca3c1643"),
+    "geometric": (["--run-geometric", "0.3"],
+                  "5d3d8396c8ba9c82080f2ecf665940042e57997cddf37702e8c10812e901c658",
+                  "0b955856c24981b25e524ea408a43e4ba12fba01bca397dbbf0c5b46c750208d"),
+}
+
+
+@pytest.mark.parametrize("kind", _PINNED_DRAWS)
+def test_random_corpora_are_pinned(capsys, monkeypatch, kind):
+    extra, experiment_digest, verify_digest = _PINNED_DRAWS[kind]
+    assert main(["experiment", *_CORPUS, "--format", "jsonl", *extra]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == experiment_digest
+    seen = []
+    monkeypatch.setattr(cli, "_verify_one", lambda text, _: seen.append(text) or [])
+    assert main(["verify", *_CORPUS, *extra]) == 0
+    assert capsys.readouterr().out == "verified 30 strings, 0 failing checks\n"
+    assert hashlib.sha256("\n".join(seen).encode()).hexdigest() == verify_digest
 
 
 class TestBench:

@@ -7,6 +7,7 @@ import sys
 import threading
 from array import array
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -110,17 +111,6 @@ class TestCornerList:
             CornerList([(1, 0), (1, 2)])
         with pytest.raises(ValueError):
             CornerList([(-1, 0)])
-
-    def test_lookup_rules(self):
-        cl = CornerList(EXAMPLE_LMIN)
-        assert cl.successor_y(0) == 0
-        assert cl.successor_y(4) == 2
-        assert cl.successor_y(9) == 6
-        assert cl.successor_y(10) is None
-        cl = CornerList(EXAMPLE_LMAX)
-        assert cl.predecessor_y(9) == 9
-        assert cl.predecessor_y(4) == 5
-        assert cl.predecessor_y(0) == 3
 
 
 class TestConstruction:
@@ -484,6 +474,22 @@ class TestQueries:
         with pytest.raises(ValueError):
             idx.bmax(-1)
 
+    def test_lookup_rejects_absent_a_counts(self):
+        # an a-count no substring has raises, whichever its type; integral
+        # values of other types look up the int they equal
+        np = pytest.importorskip("numpy")
+        idx = build_index(EXAMPLE)
+        for lookup in (idx.bmin, idx.bmax):
+            for x in (3.5, -0.5, idx.total_a + 0.5, float("inf"), float("nan"),
+                      -1, idx.total_a + 1, np.int64(-1), np.int64(idx.total_a + 1)):
+                with pytest.raises(ValueError):
+                    lookup(x)
+        for x in range(idx.total_a + 1):
+            for same in (np.int64(x), np.uint8(x), float(x), Fraction(x)):
+                assert idx.bmin(same) == EXAMPLE_BMIN[x]
+                assert idx.bmax(same) == EXAMPLE_BMAX[x]
+                assert type(idx.bmin(same)) is int and type(idx.bmax(same)) is int
+
     def test_dense_tables(self):
         idx = build_index(EXAMPLE)
         assert tuple(idx.bmin(i) for i in range(10)) == EXAMPLE_BMIN
@@ -571,6 +577,10 @@ class TestQueries:
             ys = {*far, -1, 0, 1, idx.total_b, idx.total_b + 1}
             if 0 <= x <= idx.total_a:
                 lo, hi = idx.bmin(x), idx.bmax(x)
+                # the bounds are the reference's: its answers change there
+                assert reference_query(idx, x, lo) and reference_query(idx, x, hi)
+                assert not reference_query(idx, x, lo - 1)
+                assert not reference_query(idx, x, hi + 1)
                 ys.update(lo + d for d in (-1, 0, 1))
                 ys.update(hi + d for d in (-1, 0, 1))
             for y in ys:
