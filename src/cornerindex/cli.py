@@ -2,34 +2,28 @@
 
 Subcommands: build, query, pnf, verify, experiment, bench. Exit codes:
 0 success, 1 verification failure, 2 usage or input-format error.
+
+A command-line start imports only what its subcommand runs: the
+brute-force oracle is imported by ``verify``, the prefix normal forms by
+``pnf`` and ``verify``, the random text generators by the commands that
+draw texts, and ``json`` by ``--format jsonl``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import random
 import re
 import sys
 import time
 
 from .corner import build_index, index_from_rle
-from .oracle import (
-    DEFAULT_MAX_TEXT,
-    TextTooLongError,
-    lemma1_witness_check,
-    parikh_set_bruteforce,
-    verify_interval_lemma,
-)
 from .persist import (
     CorruptIndexError,
     IndexFormatError,
     load_index,
     save_index,
 )
-from .pnf import pnf_from_index, verify_pnf_relations
 from .rle import InputFormatError, encode, rho
-from .textgen import coin_string, geometric_run_string
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -73,6 +67,8 @@ def _map_out(s: str, alphabet: str) -> str:
 
 def _emit(fmt: str, fields: list[tuple[str, object]], out) -> None:
     if fmt == "jsonl":
+        import json
+
         print(json.dumps(dict(fields)), file=out)
     elif fmt == "tsv":
         print("\t".join(k for k, _ in fields), file=out)
@@ -194,6 +190,8 @@ def cmd_query(args) -> int:
 
 
 def cmd_pnf(args) -> int:
+    from .pnf import pnf_from_index
+
     if (args.input is None) == (args.index is None):
         print("pnf: provide exactly one of --input or --index", file=sys.stderr)
         return EXIT_USAGE
@@ -225,6 +223,10 @@ def _corpus(args, draw_lengths: bool) -> list[str] | None:
     if p is not None and not 0.0 < p <= 1.0:
         print(f"{command}: --run-geometric must be in (0, 1], got {p}", file=sys.stderr)
         return None
+    import random
+
+    from .textgen import coin_string, geometric_run_string
+
     rng = random.Random(args.seed)
     texts = []
     for _ in range(args.count):
@@ -237,6 +239,9 @@ def _corpus(args, draw_lengths: bool) -> list[str] | None:
 
 
 def _verify_one(text: str, max_n: int) -> list[tuple[str, bool]]:
+    from .oracle import lemma1_witness_check, parikh_set_bruteforce, verify_interval_lemma
+    from .pnf import pnf_from_index, verify_pnf_relations
+
     index = build_index(text)
     pi = parikh_set_bruteforce(text, max_n)
     grid_ok = True
@@ -255,6 +260,8 @@ def _verify_one(text: str, max_n: int) -> list[tuple[str, bool]]:
 
 
 def cmd_verify(args) -> int:
+    from .oracle import DEFAULT_MAX_TEXT, TextTooLongError
+
     if (args.input is None) == (args.count is None):
         print("verify: provide exactly one of --input or --count", file=sys.stderr)
         return EXIT_USAGE
@@ -264,14 +271,19 @@ def cmd_verify(args) -> int:
     texts = _corpus(args, draw_lengths=True)
     if texts is None:
         return EXIT_USAGE
+    max_n = DEFAULT_MAX_TEXT if args.max_oracle_n is None else args.max_oracle_n
     failures = 0
-    for i, text in enumerate(texts):
-        for name, ok in _verify_one(text, args.max_oracle_n):
-            if not ok:
-                failures += 1
-                print(f"string {i}: {name}: FAIL")
-            elif len(texts) == 1:
-                print(f"{name}: PASS")
+    try:
+        for i, text in enumerate(texts):
+            for name, ok in _verify_one(text, max_n):
+                if not ok:
+                    failures += 1
+                    print(f"string {i}: {name}: FAIL")
+                elif len(texts) == 1:
+                    print(f"{name}: PASS")
+    except TextTooLongError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if len(texts) > 1:
         print(f"verified {len(texts)} strings, {failures} failing checks")
     return EXIT_VERIFY_FAILED if failures else EXIT_OK
@@ -283,6 +295,8 @@ def cmd_experiment(args) -> int:
         return EXIT_USAGE
     rows = [dict(_size_fields(rle, index_from_rle(rle))) for rle in map(encode, texts)]
     if args.format == "jsonl":
+        import json
+
         for row in rows:
             print(json.dumps(row))
     else:
@@ -311,6 +325,8 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    import random
+
     index = load_index(args.index)
     rng = random.Random(args.seed)
     queries = [
@@ -404,7 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, help="max length of random strings")
     p.add_argument("--run-geometric", type=float, metavar="P",
                    help="draw run lengths geometrically with parameter P")
-    p.add_argument("--max-oracle-n", type=int, default=DEFAULT_MAX_TEXT,
+    # None stands for the oracle's own bound, which only verify imports.
+    p.add_argument("--max-oracle-n", type=int,
                    help="refuse brute-force work beyond this text length")
     _add_common(p, "alphabet", "seed")
     p.set_defaults(func=cmd_verify)
@@ -432,11 +449,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputFormatError, IndexFormatError, CorruptIndexError,
-            TextTooLongError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (InputFormatError, IndexFormatError, CorruptIndexError, OSError) as exc:
+        # verify reports the oracle's TextTooLongError so too, itself
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -62,13 +62,12 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from operator import lt
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .rle import MAX_TEXT_LENGTH, RunLengthEncoding, encode
+from .rle import MAX_TEXT_LENGTH, RunLengthEncoding, _Record, encode
 
 if TYPE_CHECKING:
     import numpy as np
@@ -159,20 +158,32 @@ class CornerList(Sequence):
         return self._ys
 
 
-@dataclass
-class BuildTrace:
+class BuildTrace(_Record):
     """Optional record of one list construction.
 
     A traced build is the plain sequential sweep: ``candidates`` is every
     pair it inspects in generation order (including pairs skipped because
     they carry no run content), ``inserted`` and ``deleted`` are the
     mutation events in order. Coordinates are in the list's natural
-    (a_count, b_count) orientation.
+    (a_count, b_count) orientation. Each sink is a fresh list unless
+    given; any object with ``append`` and slice assignment will do.
+    Unlike the other value classes, a trace is mutable and unhashable.
     """
 
-    candidates: list[ParikhVector] = field(default_factory=list)
-    inserted: list[ParikhVector] = field(default_factory=list)
-    deleted: list[ParikhVector] = field(default_factory=list)
+    _fields = ("candidates", "inserted", "deleted")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        candidates: list[ParikhVector] | None = None,
+        inserted: list[ParikhVector] | None = None,
+        deleted: list[ParikhVector] | None = None,
+    ):
+        self.candidates = [] if candidates is None else candidates
+        self.inserted = [] if inserted is None else inserted
+        self.deleted = [] if deleted is None else deleted
 
     def _swap_all(self) -> None:
         for lst in (self.candidates, self.inserted, self.deleted):
@@ -536,8 +547,7 @@ def _pnf_runs(
         prev = x
 
 
-@dataclass(frozen=True)
-class CornerIndex:
+class CornerIndex(_Record):
     """Frozen query structure for one binary string.
 
     Carries both corner lists, which fix the letter totals (``total_a`` is
@@ -548,20 +558,22 @@ class CornerIndex:
     are excluded from equality.
     """
 
-    l_min: CornerList
-    l_max: CornerList
-    peak_min: int = field(default=1, compare=False)
-    peak_max: int = field(default=1, compare=False)
-    inspected_min: int = field(default=0, compare=False)
-    inspected_max: int = field(default=0, compare=False)
-    n: int = field(init=False, compare=False)
-    total_a: int = field(init=False, compare=False)
-    total_b: int = field(init=False, compare=False)
+    _fields = ("l_min", "l_max", "peak_min", "peak_max", "inspected_min",
+               "inspected_max", "n", "total_a", "total_b")
+    _compared = 2
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        l_min: CornerList,
+        l_max: CornerList,
+        peak_min: int = 1,
+        peak_max: int = 1,
+        inspected_min: int = 0,
+        inspected_max: int = 0,
+    ):
         # The coordinate tuples directly: this runs on every load.
-        xs_min, ys_min = self.l_min._xs, self.l_min._ys
-        xs_max, ys_max = self.l_max._xs, self.l_max._ys
+        xs_min, ys_min = l_min._xs, l_min._ys
+        xs_max, ys_max = l_max._xs, l_max._ys
         if not xs_min or not xs_max:
             raise ValueError("corner lists must not be empty")
         total_a = xs_min[-1]
@@ -574,9 +586,11 @@ class CornerIndex:
             raise ValueError("l_max does not start at a-count zero")
         if xs_max[-1] > total_a:
             raise ValueError("l_max a-count exceeds the total")
-        object.__setattr__(self, "n", total_a + total_b)
-        object.__setattr__(self, "total_a", total_a)
-        object.__setattr__(self, "total_b", total_b)
+        self.__dict__.update(
+            l_min=l_min, l_max=l_max, peak_min=peak_min, peak_max=peak_max,
+            inspected_min=inspected_min, inspected_max=inspected_max,
+            n=total_a + total_b, total_a=total_a, total_b=total_b,
+        )
 
     def bmin(self, x: int) -> int:
         """Fewest b's over substrings with exactly x a's (0 <= x <= total_a)."""

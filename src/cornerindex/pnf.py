@@ -19,20 +19,21 @@ the empty string has no runs at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .corner import CornerIndex, _pnf_runs
+from .rle import _Record
 
 __all__ = ["PnfPair", "pnf_from_index", "verify_pnf_relations"]
 
 
-@dataclass(frozen=True)
-class PnfPair:
+class PnfPair(_Record):
     """Both prefix normal forms of one string."""
 
-    pnf_a: str
-    pnf_b: str
+    _fields = ("pnf_a", "pnf_b")
+
+    def __init__(self, pnf_a: str, pnf_b: str):
+        self.__dict__.update(pnf_a=pnf_a, pnf_b=pnf_b)
 
 
 def pnf_from_index(index: CornerIndex) -> PnfPair:

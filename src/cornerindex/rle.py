@@ -10,7 +10,7 @@ in pairs, which is what the index construction iterates over.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import Iterable
 
 __all__ = [
     "InputFormatError",
@@ -41,8 +41,41 @@ class MalformedEncodingError(ValueError):
     """Raised when run lengths violate the padded-encoding invariants."""
 
 
-@dataclass(frozen=True)
-class RunLengthEncoding:
+class _Record:
+    """Base of the package's value classes, written out by hand because
+    importing ``dataclasses`` would cost every command-line start about
+    10 ms. ``_fields`` names the attributes a repr shows, in order; the
+    first ``_compared`` of them (all, when None) decide equality and the
+    hash. Instances are frozen: their constructors fill ``__dict__``
+    directly, and assigning or deleting an attribute raises
+    AttributeError."""
+
+    _fields: tuple[str, ...] = ()
+    _compared: int | None = None
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields[: self._compared])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class RunLengthEncoding(_Record):
     """Padded run lengths of a binary string.
 
     ``a_runs`` and ``b_runs`` have equal length r; entry i of each gives the
@@ -50,13 +83,11 @@ class RunLengthEncoding:
     ``a_runs[0]`` and ``b_runs[-1]``.
     """
 
-    a_runs: tuple[int, ...]
-    b_runs: tuple[int, ...]
+    _fields = ("a_runs", "b_runs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a_runs", tuple(int(u) for u in self.a_runs))
-        object.__setattr__(self, "b_runs", tuple(int(v) for v in self.b_runs))
-        a, b = self.a_runs, self.b_runs
+    def __init__(self, a_runs: Iterable[int], b_runs: Iterable[int]):
+        a = tuple(int(u) for u in a_runs)
+        b = tuple(int(v) for v in b_runs)
         if len(a) != len(b):
             raise MalformedEncodingError(
                 f"a_runs and b_runs must pair up ({len(a)} vs {len(b)} entries)"
@@ -69,6 +100,15 @@ class RunLengthEncoding:
             raise MalformedEncodingError("interior b-run of length zero")
         if sum(a) + sum(b) > MAX_TEXT_LENGTH:
             raise MalformedEncodingError("run lengths exceed the 64-bit length limit")
+        self.__dict__.update(a_runs=a, b_runs=b)
+
+    @classmethod
+    def _of(cls, a_runs: tuple[int, ...], b_runs: tuple[int, ...]) -> RunLengthEncoding:
+        """The encoding with these run tuples, unchecked: two equally long
+        tuples of ints that the constructor would accept."""
+        self = cls.__new__(cls)
+        self.__dict__.update(a_runs=a_runs, b_runs=b_runs)
+        return self
 
     @property
     def pairs(self) -> int:
@@ -108,7 +148,8 @@ def encode(s: str) -> RunLengthEncoding:
         lengths.insert(0, 0)
     if len(lengths) % 2:
         lengths.append(0)  # string ends with a
-    return RunLengthEncoding(tuple(lengths[0::2]), tuple(lengths[1::2]))
+    # Valid by construction, so the constructor's checks are skipped.
+    return RunLengthEncoding._of(tuple(lengths[0::2]), tuple(lengths[1::2]))
 
 
 def decode(rle: RunLengthEncoding) -> str:

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import struct
 import subprocess
 import sys
@@ -125,6 +126,15 @@ class TestBuild:
         header, values, *_ = capsys.readouterr().out.splitlines()
         assert header.split("\t")[:4] == ["n", "rho", "lmin", "lmax"]
         assert values.split("\t")[:4] == ["18", "10", "4", "5"]
+
+    def test_jsonl_bytes(self, capsys, example_file, tmp_path):
+        main(["build", "--input", example_file, "--format", "jsonl",
+              "--index", str(tmp_path / "o.cix")])
+        out = capsys.readouterr().out
+        head, elapsed = out.split(', "elapsed_s": ')
+        assert head == ('{"n": 18, "rho": 10, "lmin": 4, "lmax": 5, '
+                        '"peak_min": 4, "peak_max": 5')
+        assert re.fullmatch(r'"\d+\.\d{3}"}\n', elapsed)
 
     def test_stdin(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(sys, "stdin", _stdin(b"abba\n"))

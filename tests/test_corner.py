@@ -31,6 +31,7 @@ from conftest import (
 from cornerindex import corner
 from cornerindex.corner import (
     BuildTrace,
+    CornerIndex,
     CornerList,
     assemble_lmax,
     assemble_lmin,
@@ -696,3 +697,74 @@ def test_concurrent_first_queries():
             assert results == [expected] * 4
     finally:
         sys.setswitchinterval(interval)
+
+
+_EXAMPLE_REPR = (
+    "CornerIndex(l_min=CornerList([(3, 0), (5, 2), (7, 4), (9, 6)]), "
+    "l_max=CornerList([(0, 3), (2, 5), (5, 7), (6, 8), (7, 9)]), "
+    "peak_min=4, peak_max=5, inspected_min=15, inspected_max=15, "
+    "n=18, total_a=9, total_b=9)"
+)
+
+
+def test_index_is_a_frozen_value():
+    idx = build_index(EXAMPLE)
+    assert repr(idx) == _EXAMPLE_REPR
+    l_min, l_max = CornerList(EXAMPLE_LMIN), CornerList(EXAMPLE_LMAX)
+    by_keyword = CornerIndex(l_max=l_max, l_min=l_min, peak_min=4, peak_max=5,
+                             inspected_min=15, inspected_max=15)
+    assert repr(by_keyword) == _EXAMPLE_REPR
+    assert repr(CornerIndex(l_min, l_max, 4, 5, 15, 15)) == _EXAMPLE_REPR
+    # equality and hash see the lists only, not the instrumentation
+    bare = CornerIndex(l_min, l_max)
+    assert (bare.peak_min, bare.peak_max, bare.inspected_min, bare.inspected_max) == (1, 1, 0, 0)
+    assert (bare.n, bare.total_a, bare.total_b) == (18, 9, 9)
+    assert bare == idx == by_keyword and hash(bare) == hash(idx) == hash((l_min, l_max))
+    assert {idx: 1}[bare] == 1
+    assert idx != build_index("ab") and idx != (l_min, l_max)
+    assert idx.__eq__((l_min, l_max)) is NotImplemented
+    with pytest.raises(TypeError):
+        CornerIndex(l_min, l_max, n=18)
+    for name in ("l_min", "peak_min", "n", "total_a", "_segments", "other"):
+        with pytest.raises(AttributeError):
+            setattr(idx, name, 0)
+    for name in ("l_min", "n"):
+        with pytest.raises(AttributeError):
+            delattr(idx, name)
+    assert repr(idx) == _EXAMPLE_REPR
+    # the query table, once built, stays out of repr, pickles and copies
+    assert idx.query(3, 3) and "_segments" in vars(idx)
+    assert repr(idx) == _EXAMPLE_REPR
+    for twin in (pickle.loads(pickle.dumps(idx)), copy.copy(idx), copy.deepcopy(idx)):
+        assert twin == idx and repr(twin) == _EXAMPLE_REPR
+        assert "_segments" not in vars(twin)
+
+
+def test_trace_takes_any_sinks():
+    class Sink(list):
+        pass
+
+    sinks = Sink(), Sink(), Sink()
+    trace = BuildTrace(*sinks)
+    assert (trace.candidates, trace.inserted, trace.deleted) == sinks
+    assert all(got is sink for got, sink in
+               zip((trace.candidates, trace.inserted, trace.deleted), sinks))
+    build_lmin(encode(EXAMPLE), trace)
+    plain = BuildTrace()
+    build_lmin(encode(EXAMPLE), plain)
+    assert trace == plain and len(sinks[0]) == 15
+    assert BuildTrace(inserted=[(1, 0)]) == BuildTrace([], [(1, 0)], [])
+    assert BuildTrace() != BuildTrace([(1, 0)]) and BuildTrace() != ([], [], [])
+    assert repr(BuildTrace(deleted=[(2, 0)])) == (
+        "BuildTrace(candidates=[], inserted=[], deleted=[(2, 0)])"
+    )
+    # each trace gets lists of its own; a trace is mutable and unhashable
+    first, second = BuildTrace(), BuildTrace()
+    first.candidates.append((1, 1))
+    assert second.candidates == [] and second.inserted is not first.inserted
+    first.deleted = [(0, 0)]
+    assert first.deleted == [(0, 0)]
+    with pytest.raises(TypeError):
+        hash(first)
+    twin = pickle.loads(pickle.dumps(plain))
+    assert twin == plain and twin.candidates is not plain.candidates

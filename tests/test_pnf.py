@@ -1,7 +1,10 @@
+import copy
+import pickle
 import random
 from collections import defaultdict
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +21,22 @@ class TestNormalForms:
     def test_worked_example(self):
         pnfs = pnf_from_index(build_index(EXAMPLE))
         assert pnfs == PnfPair(EXAMPLE_PNF_A, EXAMPLE_PNF_B)
+
+    def test_pair_is_a_frozen_value(self):
+        pair = PnfPair(EXAMPLE_PNF_A, EXAMPLE_PNF_B)
+        same = PnfPair(pnf_b=EXAMPLE_PNF_B, pnf_a=EXAMPLE_PNF_A)
+        assert pair == same and hash(pair) == hash(same)
+        assert pair != PnfPair(EXAMPLE_PNF_B, EXAMPLE_PNF_A)
+        assert pair != (EXAMPLE_PNF_A, EXAMPLE_PNF_B)
+        assert {pair: "example"}[same] == "example"
+        assert repr(PnfPair("ab", "ba")) == "PnfPair(pnf_a='ab', pnf_b='ba')"
+        for name in ("pnf_a", "pnf_b", "other"):
+            with pytest.raises(AttributeError):
+                setattr(pair, name, "")
+        with pytest.raises(AttributeError):
+            del pair.pnf_a
+        for twin in (pickle.loads(pickle.dumps(pair)), copy.copy(pair)):
+            assert twin == pair and twin.pnf_b == EXAMPLE_PNF_B
 
     def test_degenerate(self):
         assert pnf_from_index(build_index("")) == PnfPair("", "")

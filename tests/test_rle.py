@@ -1,5 +1,8 @@
+import copy
+import pickle
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -89,6 +92,55 @@ def test_total_length_limit():
     with pytest.raises(MalformedEncodingError, match="64-bit"):
         RunLengthEncoding((1, 1), (1, MAX_TEXT_LENGTH - 2))
     assert RunLengthEncoding((MAX_TEXT_LENGTH,), (0,)).total_a == MAX_TEXT_LENGTH
+
+
+@pytest.mark.parametrize("a_runs, b_runs, message", [
+    ((1, 1), (1,), "a_runs and b_runs must pair up (2 vs 1 entries)"),
+    ((1,), (1, 1), "a_runs and b_runs must pair up (1 vs 2 entries)"),
+    ((-1,), (1,), "run lengths must be non-negative"),
+    ((1,), (-1,), "run lengths must be non-negative"),
+    ((2, 0), (1, 1), "interior a-run of length zero"),
+    ((2, 1), (0, 1), "interior b-run of length zero"),
+    ((1 << 63,), (1 << 63,), "run lengths exceed the 64-bit length limit"),
+])
+def test_malformed_encoding_messages(a_runs, b_runs, message):
+    with pytest.raises(MalformedEncodingError) as exc:
+        RunLengthEncoding(a_runs, b_runs)
+    assert str(exc.value) == message
+    with pytest.raises(MalformedEncodingError) as exc:
+        RunLengthEncoding(b_runs=b_runs, a_runs=a_runs)
+    assert str(exc.value) == message
+
+
+def test_encoding_is_a_frozen_value():
+    # any iterables of integral values, stored as tuples of ints
+    r = RunLengthEncoding([0, np.int64(2)], iter([True, 0]))
+    assert r.a_runs == (0, 2) and r.b_runs == (1, 0)
+    assert all(type(v) is int for v in r.a_runs + r.b_runs)
+    assert type(r.a_runs) is tuple and type(r.b_runs) is tuple
+    same = RunLengthEncoding(b_runs=(1, 0), a_runs=(0, 2))
+    assert r == same == encode("baa") and hash(r) == hash(same)
+    assert r != RunLengthEncoding((0, 2), (1, 1)) and r != ((0, 2), (1, 0))
+    assert repr(r) == "RunLengthEncoding(a_runs=(0, 2), b_runs=(1, 0))"
+    assert {r: 1}[encode("baa")] == 1
+    for name in ("a_runs", "b_runs", "other"):
+        with pytest.raises(AttributeError):
+            setattr(r, name, ())
+    with pytest.raises(AttributeError):
+        del r.a_runs
+    assert r.a_runs == (0, 2)
+    for twin in (pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r)):
+        assert twin == r and (twin.a_runs, twin.b_runs) == ((0, 2), (1, 0))
+
+
+@given(st.one_of(binary_strings, st.sampled_from(["", "a", "b", "aaaa", "bbb"])))
+def test_encode_equals_validated_encoding(s):
+    # encode skips the constructor's checks: its runs are valid by construction
+    r = encode(s)
+    checked = RunLengthEncoding(r.a_runs, r.b_runs)
+    assert r == checked and repr(r) == repr(checked) and hash(r) == hash(checked)
+    assert all(type(v) is int for v in r.a_runs + r.b_runs)
+    assert type(r.a_runs) is tuple and type(r.b_runs) is tuple
 
 
 @pytest.mark.parametrize("a_runs, b_runs", HUGE_RUNS)
