@@ -1,0 +1,43 @@
+#!/usr/bin/env bash
+# Smoke checks that CI runs after the tier-1 tests: the traced benchmark on
+# every workload, then the command-line interface end to end. Run from any
+# directory as `bash scripts/smoke.sh`; it stops at the first failing check.
+set -eo pipefail
+cd "$(dirname "$0")/.."
+export PYTHONPATH="$PWD/src${PYTHONPATH:+:$PYTHONPATH}"
+
+# Benchmark correctness: a failing run fails the script; coin-dense's sweeps
+# read a row table per block of many rows, runs-long's search the staircase
+# per candidate.
+for workload in many-small coin-dense runs-long; do
+  python3 bench/run.py --workload "$workload" --trace 1 | tail -n 1 |
+    python3 -c 'import json, sys; sys.exit(json.loads(sys.stdin.read())["correct"] is not True)'
+done
+
+# CLI: verify's oracle grid calls query; texts of up to 48 characters take
+# the sequential sweep, of up to 512 mostly the numpy block path, with
+# fair-coin and with geometric runs; experiment draws its corpus as verify
+# does; pnf, query and build import their modules on demand, and a jsonl
+# build writes the same file; a .cix file with one payload byte flipped
+# must fail its checksum and exit 2.
+python -m cornerindex verify --count 200 --length 48 --seed 7
+python -m cornerindex verify --count 60 --length 512 --seed 11
+python -m cornerindex verify --count 60 --length 512 --seed 11 --run-geometric 0.3
+python -m cornerindex experiment --count 20 --length 512 --seed 11
+python -m cornerindex experiment --count 20 --length 512 --seed 11 --run-geometric 0.3 --format jsonl
+dir=$(mktemp -d)
+trap 'rm -rf "$dir"' EXIT
+python3 -c 'import random; r = random.Random(7); print("".join(r.choice("ab") for _ in range(3000)))' > "$dir/smoke.txt"
+python -m cornerindex verify --input "$dir/smoke.txt"
+python -m cornerindex build --input "$dir/smoke.txt" --index "$dir/smoke.cix"
+python -m cornerindex bench --index "$dir/smoke.cix" --count 20000
+python -m cornerindex pnf --index "$dir/smoke.cix" > /dev/null
+printf '1 1\n1500 1500\n' | python -m cornerindex query --index "$dir/smoke.cix" --format jsonl
+python -m cornerindex build --input "$dir/smoke.txt" --index "$dir/again.cix" --format jsonl
+cmp "$dir/smoke.cix" "$dir/again.cix"
+python3 -c 'import sys; raw = bytearray(open(sys.argv[1], "rb").read()); raw[100] ^= 1; open(sys.argv[1], "wb").write(raw)' "$dir/smoke.cix"
+status=0
+echo "1 1" | python -m cornerindex query --index "$dir/smoke.cix" 2> "$dir/query.err" || status=$?
+cat "$dir/query.err"
+test "$status" -eq 2
+grep -q checksum "$dir/query.err"

@@ -16,9 +16,9 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 # In dependency order: each module imports only modules listed before it,
-# so a lookup imports the modules up to the one that holds the name, most of
-# which that module imports anyway.
-_SUBMODULES = ("rle", "corner", "persist", "pnf", "textgen", "oracle")
+# so a lookup imports the modules up to the one that holds the name; build
+# follows the serving modules, so that no serving name's lookup imports it.
+_SUBMODULES = ("rle", "corner", "persist", "pnf", "build", "textgen", "oracle")
 
 
 def __getattr__(name: str):

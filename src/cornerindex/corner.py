@@ -19,73 +19,23 @@ segments below 0 and above total_a that no b-count fits. ``bmin``, ``bmax``
 and ``query`` each find x's segment with one binary search; a query then
 compares y with the segment's two bounds.
 
-Construction works on the run-length encoding alone, in one sweep per
-list. Every substring that starts and ends with a full a-run realizes a
-candidate Parikh pair, and l_min is exactly the set of candidates that
-survive a dominance filter (keep pairs with the most a's for the fewest
-b's); l_max is the same sweep over spans of full b-runs in swapped
-coordinates, which mirrors the dominance order. The sweep visits the
-r(r+1)/2 spans by length k and start i and keeps a sorted working list
-probed with bisect: a candidate costs one successor search, and the
-deletions an insertion triggers are adjacent to the insertion point.
-
-numpy forms the candidates a block at a time from uint64 prefix sums: a
-block is several consecutive rows (each of fixed k) laid out as one
-rectangle. It drops in bulk every candidate that the staircase, as it stood
-at the block's start, or a candidate of an earlier row of the block already
-dominates; only the survivors reach the bisect step, in (k, i) order. This
-is exact: once the sequential sweep has seen a pair, the pair is stored or
-dominated by a stored pair, so it would reject the same candidates, and a
-rejected candidate never changes the list. The survivors are therefore
-those of one-row blocks, whatever a block's size. Both tests read one table
-over the block's range of a-counts: its row 0 holds the staircase's
-successor b-count for every value, found by one search of that sorted
-range, and its row d the smaller of row d - 1 and the fewest b's of a
-row d - 1 candidate at that a-count or above. While the table stays within
-a few cells per candidate (fair-coin text), blocks grow to a fixed number
-of cells. A sweep whose first row spans more a-counts than it has spans
-(long runs, where the range is many times longer), or whose table outgrows
-that bound, tests per candidate against the staircase alone from there on,
-in blocks of one long row or of short rows grouped. Lists and peaks are
-those of the plain sequential sweep, which runs itself, on plain ints, when
-the sweep has at most ``_BLOCK`` spans and when it is traced: the optional
-``BuildTrace`` records that sweep's candidates and mutations at any size.
-The candidate lists for the order-independence check come from the same
-span generator.
-
-numpy is imported by the first sweep that takes the block path, so loading
-and querying an index, or building one of at most ``_BLOCK`` spans, never
-imports it.
+Construction lives in ``build.py``, which this module never imports.
 """
 
 from __future__ import annotations
 
-from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from functools import cached_property
-from itertools import accumulate
 from operator import lt
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .rle import MAX_TEXT_LENGTH, RunLengthEncoding, _Record, encode
-
-if TYPE_CHECKING:
-    import numpy as np
+from .rle import _Record
 
 __all__ = [
     "ParikhVector",
     "CornerList",
     "CornerIndex",
-    "BuildTrace",
     "LengthTables",
-    "build_lmin",
-    "build_lmax",
-    "build_index",
-    "index_from_rle",
-    "lmin_candidates",
-    "lmax_candidates",
-    "assemble_lmin",
-    "assemble_lmax",
 ]
 
 # A Parikh vector of a binary string: (number of a's, number of b's).
@@ -156,369 +106,6 @@ class CornerList(Sequence):
     @property
     def ys(self) -> tuple[int, ...]:
         return self._ys
-
-
-class BuildTrace(_Record):
-    """Optional record of one list construction.
-
-    A traced build is the plain sequential sweep: ``candidates`` is every
-    pair it inspects in generation order (including pairs skipped because
-    they carry no run content), ``inserted`` and ``deleted`` are the
-    mutation events in order. Coordinates are in the list's natural
-    (a_count, b_count) orientation. Each sink is a fresh list unless
-    given; any object with ``append`` and slice assignment will do.
-    Unlike the other value classes, a trace is mutable and unhashable.
-    """
-
-    _fields = ("candidates", "inserted", "deleted")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
-    def __init__(
-        self,
-        candidates: list[ParikhVector] | None = None,
-        inserted: list[ParikhVector] | None = None,
-        deleted: list[ParikhVector] | None = None,
-    ):
-        self.candidates = [] if candidates is None else candidates
-        self.inserted = [] if inserted is None else inserted
-        self.deleted = [] if deleted is None else deleted
-
-    def _swap_all(self) -> None:
-        for lst in (self.candidates, self.inserted, self.deleted):
-            lst[:] = [(b, a) for (a, b) in lst]
-
-
-# Spans per sparse numpy block; short rows are grouped, since one block per
-# short row would pay numpy's per-call cost on tiny rows. A sweep of at most
-# this many spans runs on plain ints and does without numpy: on fair-coin
-# text the block path only catches up at about 300 spans, and below 512 it
-# saves at most some 40 us a sweep, far less than numpy's import (about
-# 0.1 s) costs a command-line build.
-_BLOCK = 512
-# A dense block is a rectangle of at most _DENSE_CELLS * _BLOCK cells, or one
-# longer row, whose row table holds at most _TABLE cells per span.
-_DENSE_CELLS = 32
-_TABLE = 8
-
-
-class _Blocks:
-    """The sweep's candidates in (k, i) order, one numpy block at a time.
-
-    A block is g consecutive rows k..k+g-1 (span lengths k + d, every start
-    i) laid out as one (g, w) rectangle, w = r - k + 1: row d holds its
-    w - d spans in cells i < w - d. Each coordinate is one broadcast
-    subtraction over a strided window of its prefix sums, which are padded
-    past the last run with their last value, so a cell past the end of its
-    row (i >= w - d) repeats the span from start i to the last run, which
-    an earlier row of the block holds.
-
-    A dense sweep gathers as many rows as fit in ``_DENSE_CELLS * _BLOCK``
-    cells. A sparse one keeps rows of at least ``_BLOCK`` spans to
-    themselves and groups shorter rows until they hold ``_BLOCK`` spans. The
-    first row decides before any block is formed: the sweep starts sparse
-    when that row's a-counts span more values than the row has spans. It
-    turns sparse for good at the first block whose row table (see
-    ``undominated``) would hold more than ``_TABLE`` cells per span, and
-    that block is formed again in the sparse shape. Blocks and the
-    prefilter's temporaries live in buffers allocated once per sweep. Spans
-    are those of ``first_runs``, with ``second`` the runs between them.
-    numpy is imported here, so only a sweep that takes the block path loads
-    it.
-    """
-
-    def __init__(self, first_runs: Sequence[int], second: Sequence[int]):
-        import numpy as np
-
-        self.np = np
-        self.r = r = len(first_runs)
-        # Prefix sums, then copies of the last one a span uses (p1[r] and
-        # gaps[r - 1]) up to 2r + 1 entries: a block's rows reach index
-        # r + g - 1 of p1.
-        self.p1 = np.empty(2 * r + 1, dtype=np.uint64)
-        self.gaps = np.empty(2 * r + 1, dtype=np.uint64)
-        for sums, runs in ((self.p1, first_runs), (self.gaps, second[: r - 1])):
-            sums[0] = 0
-            np.cumsum(np.array(runs, dtype=np.uint64), out=sums[1 : len(runs) + 1])
-            sums[len(runs) + 1 :] = sums[len(runs)]
-        # Whether blocks read a row table (one-way switch). The first row's
-        # a-counts are the first runs themselves.
-        self.dense = max(first_runs) - min(first_runs) < r
-        cells = min(r * r, max(r, _DENSE_CELLS * _BLOCK))
-        self.x = np.empty(cells, dtype=np.uint64)
-        self.y = np.empty(cells, dtype=np.uint64)
-        self.t = np.empty(cells, dtype=np.uint64)
-        self.cells = np.empty(cells, dtype=np.uint64)
-        self.keep = np.empty(cells, dtype=bool)
-        self.table = np.empty(0, dtype=np.uint64)
-
-    def _rows(self, k: int, g: int) -> tuple[np.ndarray, np.ndarray]:
-        """x and y of rows k..k+g-1 as a (g, r - k + 1) block."""
-        np, w = self.np, self.r - k + 1
-        x = self.x[: g * w].reshape(g, w)
-        y = self.y[: g * w].reshape(g, w)
-        # Row d of the window (shape, dtype, buffer, offset, strides) that
-        # starts at sums[j] is sums[j + d : j + d + w].
-        ends = np.ndarray((g, w), np.uint64, self.p1, 8 * k, (8, 8))
-        np.subtract(ends, self.p1[:w], out=x)
-        ends = np.ndarray((g, w), np.uint64, self.gaps, 8 * (k - 1), (8, 8))
-        np.subtract(ends, self.gaps[:w], out=y)
-        return x, y
-
-    def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        k = 1
-        while k <= self.r:
-            w = self.r - k + 1
-            if self.dense:
-                g = max(1, min(w, _DENSE_CELLS * _BLOCK // w))
-                x, y = self._rows(k, g)
-                hi = x.max()
-                width = int(hi - x.min()) + 1
-                # Too wide a table turns the sweep sparse; the block is then
-                # formed again in the sparse shape. undominated reads range.
-                self.dense = g * width <= _TABLE * (g * w - g * (g - 1) // 2)
-                self.range = hi, width
-            if not self.dense:
-                g, m = 1, w
-                while m < _BLOCK and g < w:
-                    m += w - g
-                    g += 1
-                x, y = self._rows(k, g)
-            k += g
-            yield x, y
-
-    def undominated(
-        self, x: np.ndarray, y: np.ndarray, mx: array, my: array
-    ) -> np.ndarray:
-        """Flat positions, in (k, i) order, of the block's spans that no
-        pair of the staircase mirrored in (mx, my) dominates and, while the
-        sweep is dense, that no span of an earlier row of the block
-        dominates either.
-
-        A candidate's successor b-count is my at the first position whose
-        a-count in mx is at least the candidate's. A dense block tabulates,
-        for every a-count v from the block's lowest to its highest hi, a row
-        table E: E[0, hi - v] is that successor, found by one search of the
-        sorted range, and E[d, hi - v] is the smaller of E[d - 1, hi - v] and
-        the fewest b's of a row d - 1 span with at least v a's. A candidate
-        of row d survives when its entry exceeds its b-count. This is exact:
-        a span of an earlier row precedes the candidate in (k, i) order, and
-        once the sequential sweep has seen a span it stores that span or a
-        pair that dominates it, so a candidate the span dominates is one the
-        sweep rejects. The table also rejects the cells past the end of a
-        row, which repeat spans of earlier rows. A sparse block searches per
-        candidate, against the staircase alone, and first masks those cells
-        with the sentinel; with long runs the ranges are many times the
-        block length from the first row on, and a table would be pure cost.
-        """
-        np = self.np
-        g, w = x.shape
-        stair_x = np.frombuffer(mx, dtype=np.uint64)
-        stair_y = np.frombuffer(my, dtype=np.uint64)
-        t = self.t[: g * w].reshape(g, w)
-        if self.dense:
-            hi, width = self.range
-            if self.table.size < g * width:
-                self.table = np.empty(g * width, dtype=np.uint64)
-            table = self.table[: g * width].reshape(g, width)
-            values = np.arange(width, dtype=np.uint64)
-            np.subtract(hi, values, out=values)
-            stair_y.take(stair_x.searchsorted(values), out=table[0])
-            # Each cell's flat position in the table: row d starts at d * width.
-            cells = self.cells[: g * w].reshape(g, w)
-            cells = np.subtract(hi, x, out=cells).view(np.intp)
-            if g > 1:
-                cells += np.arange(0, g * width, width)[:, None]
-                table[1:] = stair_y[-1]
-                # Each row's fewest b's per a-count, one table row down, then
-                # minima over more a's (fewer hi - v) and over earlier rows.
-                np.minimum.at(table[1:].ravel(), cells[:-1].ravel(), y[:-1].ravel())
-                np.minimum.accumulate(table, axis=1, out=table)
-                np.minimum.accumulate(table, axis=0, out=table)
-            successor_y = table.take(cells, out=t)
-        else:
-            for d in range(1, g):
-                y[d, w - d :] = stair_y[-1]
-            successor_y = stair_y.take(stair_x.searchsorted(x), out=t)
-        keep = np.greater(successor_y, y, out=self.keep[: g * w].reshape(g, w))
-        return keep.ravel().nonzero()[0]
-
-
-def _spans(first_runs: Sequence[int], second: Sequence[int]) -> Iterator[ParikhVector]:
-    """Every span's pair in (k, i) order, in plain ints: the span of k
-    first runs starting at run i gives (sum of those runs, sum of the
-    ``second`` runs strictly between them)."""
-    p1 = list(accumulate(first_runs, initial=0))
-    gaps = list(accumulate(second, initial=0))
-    r = len(first_runs)
-    return (
-        (p1[i + k] - p1[i], gaps[i + k - 1] - gaps[i])
-        for k in range(1, r + 1)
-        for i in range(r - k + 1)
-    )
-
-
-def _feed(
-    xs: list[int],
-    ys: list[int],
-    pairs: Iterable[ParikhVector],
-    trace: BuildTrace | None = None,
-) -> tuple[int, int]:
-    """The sequential step: run pairs, in order, through the successor test,
-    insert the undominated ones and prune what they dominate, recording it
-    all in trace. Pairs with x == 0 carry no run content and are skipped.
-    Returns the largest list size right after an insertion and the lowest
-    position that changed (len(xs) when nothing did)."""
-    peak = 0
-    lo = len(xs)
-    for x, y in pairs:
-        if trace is not None:
-            trace.candidates.append((x, y))
-        if x == 0:
-            continue
-        idx = bisect_left(xs, x)
-        if idx < len(xs):
-            if ys[idx] <= y:
-                # The successor has at least as many a's for at most as many
-                # b's: the candidate is dominated (or already present).
-                continue
-            if xs[idx] == x:
-                # Same a-count stored with more b's: the newcomer supersedes it.
-                if trace is not None:
-                    trace.deleted.append((x, ys[idx]))
-                del xs[idx]
-                del ys[idx]
-        xs.insert(idx, x)
-        ys.insert(idx, y)
-        if trace is not None:
-            trace.inserted.append((x, y))
-        if len(xs) > peak:
-            peak = len(xs)
-        # Pairs dominated by (x, y) have smaller a-counts and b-counts >= y;
-        # since stored b-counts increase with position they sit immediately
-        # to the left of the insertion point, and nothing left of them moves.
-        while idx and ys[idx - 1] >= y:
-            idx -= 1
-            if trace is not None:
-                trace.deleted.append((xs[idx], ys[idx]))
-            del xs[idx]
-            del ys[idx]
-        if idx < lo:
-            lo = idx
-    return peak, lo
-
-
-def _sweep(
-    first_runs: tuple[int, ...],
-    second_runs: tuple[int, ...],
-    drop_last: bool,
-    trace: BuildTrace | None = None,
-) -> tuple[CornerList, int]:
-    """Dominance sweep over all r(r+1)/2 run spans; returns (list, peak).
-
-    A span covers k consecutive first-coordinate runs starting at i; its
-    second coordinate sums the second-coordinate runs strictly inside it.
-    With ``drop_last`` the first runs are a-runs and the spanned b-runs drop
-    the last one (l_min). Without it the first runs are b-runs and the
-    spanned a-runs drop the first one (l_max, swept in swapped orientation,
-    so its points and trace are swapped back before returning).
-
-    A traced sweep, or one of at most ``_BLOCK`` spans, is the sequential
-    sweep: every span, in (k, i) order, through the sequential step. Any
-    other forms its spans one numpy block of rows at a time, prefilters each
-    block against the staircase as it stood at the block's start and, while
-    dense, against the block's earlier rows (see ``_Blocks``), and sends the
-    survivors through the sequential step in order. Candidates with x == 0
-    come only from a zero-length padding run; they are traced but skipped,
-    and a list left empty gets the boundary entry (0, 0). The peak is the
-    largest size the working list reaches right after an insertion.
-    """
-    r = len(first_runs)
-    # The second-coordinate runs that separate consecutive first runs, so
-    # a span's second coordinate is one difference of their prefix sums.
-    second = second_runs if drop_last else second_runs[1:]
-    xs: list[int] = []
-    ys: list[int] = []
-    if trace is not None or r * (r + 1) // 2 <= _BLOCK:
-        # The block path records no trace; see _BLOCK for small sweeps.
-        peak = _feed(xs, ys, _spans(first_runs, second), trace)[0]
-    else:
-        blocks = _Blocks(first_runs, second)
-        # uint64 copy of the staircase for the prefilter, synced after each
-        # block. my ends with a sentinel that stands for "no successor": it
-        # exceeds every b-count of a candidate with x > 0, since the letter
-        # totals sum to at most MAX_TEXT_LENGTH.
-        mx = array("Q")
-        my = array("Q", [MAX_TEXT_LENGTH])
-        peak = 0
-        for bx, by in blocks:
-            keep = blocks.undominated(bx, by, mx, my)
-            survivors = zip(bx.take(keep).tolist(), by.take(keep).tolist())
-            block_peak, lo = _feed(xs, ys, survivors)
-            peak = max(peak, block_peak)
-            mx[lo:] = array("Q", xs[lo:])
-            my[lo:-1] = array("Q", ys[lo:])
-    if not xs:
-        xs, ys = [0], [0]
-    if not drop_last:
-        xs, ys = ys, xs
-        if trace is not None:
-            trace._swap_all()
-    return CornerList._of(tuple(xs), tuple(ys)), max(peak, len(xs))
-
-
-def _filter(pairs: Iterable[ParikhVector]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Order-free dominance filter in l_min orientation; returns the
-    surviving first and second coordinates."""
-    xs: list[int] = []
-    ys: list[int] = []
-    _feed(xs, ys, pairs)
-    return (tuple(xs), tuple(ys)) if xs else ((0,), (0,))
-
-
-def build_lmin(rle: RunLengthEncoding, trace: BuildTrace | None = None) -> CornerList:
-    """Corners of the minimal-b staircase: for every stored (x, y), y is the
-    fewest b's any substring with exactly x a's contains, and the stored
-    a-counts are exactly those where that minimum is about to increase, plus
-    the total a-count. Strings without a's yield the single entry (0, 0)."""
-    return _sweep(rle.a_runs, rle.b_runs, True, trace)[0]
-
-
-def build_lmax(rle: RunLengthEncoding, trace: BuildTrace | None = None) -> CornerList:
-    """Corners of the maximal-b staircase, mirror of :func:`build_lmin`;
-    always contains an entry at x = 0 whose b-count is the longest b-run.
-    Strings without b's yield the single entry (0, 0)."""
-    return _sweep(rle.b_runs, rle.a_runs, False, trace)[0]
-
-
-def lmin_candidates(rle: RunLengthEncoding) -> list[ParikhVector]:
-    """All r(r+1)/2 candidate pairs for l_min in generation order: the span
-    of k consecutive a-runs starting at run i contributes (sum of those
-    a-runs, sum of the b-runs strictly between them)."""
-    return list(_spans(rle.a_runs, rle.b_runs))
-
-
-def lmax_candidates(rle: RunLengthEncoding) -> list[ParikhVector]:
-    """All r(r+1)/2 candidate pairs for l_max in generation order: the span
-    of k consecutive b-runs starting at run i contributes (sum of the a-runs
-    strictly between them, sum of those b-runs)."""
-    return [(a, b) for b, a in _spans(rle.b_runs, rle.a_runs[1:])]
-
-
-def assemble_lmin(candidates: Iterable[Sequence[int]]) -> CornerList:
-    """Run the dominance filter over candidate pairs in the given order.
-
-    The final list does not depend on the order; feeding a shuffled
-    :func:`lmin_candidates` output reproduces :func:`build_lmin` exactly.
-    """
-    return CornerList._of(*_filter((int(p[0]), int(p[1])) for p in candidates))
-
-
-def assemble_lmax(candidates: Iterable[Sequence[int]]) -> CornerList:
-    """Order-independent dominance filter for the mirrored list."""
-    ys, xs = _filter((int(p[1]), int(p[0])) for p in candidates)
-    return CornerList._of(xs, ys)
 
 
 class LengthTables(NamedTuple):
@@ -696,16 +283,3 @@ class CornerIndex(_Record):
             min_a += [c] * u
             min_a += range(c + 1, c + v + 1)
         return LengthTables(tuple(min_a), tuple(max_a))
-
-
-def index_from_rle(rle: RunLengthEncoding) -> CornerIndex:
-    """Build the full index from run lengths already in hand."""
-    l_min, peak_min = _sweep(rle.a_runs, rle.b_runs, True)
-    l_max, peak_max = _sweep(rle.b_runs, rle.a_runs, False)
-    spans = rle.pairs * (rle.pairs + 1) // 2
-    return CornerIndex(l_min, l_max, peak_min, peak_max, spans, spans)
-
-
-def build_index(s: str) -> CornerIndex:
-    """Encode the string and build its corner index."""
-    return index_from_rle(encode(s))

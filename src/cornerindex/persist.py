@@ -33,12 +33,18 @@ reader can notice wrong about the payload raises CorruptIndexError with the
 failing check named in the message; an entry count that the letter totals
 rule out is rejected before any payload is read, and a version 2 file whose
 checksum does not match is rejected before its entries are decoded.
+
+``serialize`` raises ValueError if the lists cross (bmin(x) > bmax(x) for
+some x), as no string's lists do. The loader skips that check, a bisect per
+l_min entry and a large share of a load, so a crossed file that another
+writer sealed still loads.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
+from bisect import bisect_right
 from typing import BinaryIO
 
 from .corner import CornerIndex, CornerList
@@ -89,7 +95,16 @@ def file_size(index: CornerIndex) -> int:
 
 
 def serialize(index: CornerIndex, sink: BinaryIO) -> None:
-    """Write the index to a binary stream in the version 2 layout."""
+    """Write the index to a binary stream in the version 2 layout; raise
+    ValueError, naming x and both bounds, at the first x with bmin(x) > bmax(x)."""
+    l_min, l_max = index.l_min, index.l_max
+    xs_max, ys_max = l_max.xs, l_max.ys
+    # bmin is l_min.ys[i] on (l_min.xs[i - 1], l_min.xs[i]]; bmax is lowest at its start.
+    for x, low in zip(l_min.xs, l_min.ys[1:]):
+        high = ys_max[bisect_right(xs_max, x + 1) - 1]
+        if low > high:
+            raise ValueError(
+                f"corner lists cross: bmin({x + 1}) = {low} > bmax({x + 1}) = {high}")
     head = _HEADER.pack(
         MAGIC,
         FORMAT_VERSION,
@@ -103,7 +118,6 @@ def serialize(index: CornerIndex, sink: BinaryIO) -> None:
     )
     code_a = _column(index.total_a)[0]
     code_b = _column(index.total_b)[0]
-    l_min, l_max = index.l_min, index.l_max
     k_min, k_max = len(l_min), len(l_max)
     body = struct.pack(
         f"<{k_min}{code_a}{k_min}{code_b}{k_max}{code_a}{k_max}{code_b}",

@@ -4,14 +4,8 @@ import zlib
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 
-from cornerindex.corner import (
-    BuildTrace,
-    CornerIndex,
-    CornerList,
-    build_lmax,
-    build_lmin,
-    index_from_rle,
-)
+from cornerindex.build import BuildTrace, build_lmax, build_lmin, index_from_rle
+from cornerindex.corner import CornerIndex, CornerList
 from cornerindex.rle import MAX_TEXT_LENGTH
 
 # Running example used across the suite: 18 characters, 10 runs.
@@ -47,7 +41,7 @@ def reference_sweep(first_runs, second_runs, drop_last):
     """The sequential construction sweep as it was before batching: every
     span in (k, i) order goes through the successor test, in Python ints.
 
-    Returns (points, peak, trace) for ``corner._sweep``'s arguments, with
+    Returns (points, peak, trace) for ``build._sweep``'s arguments, with
     l_max (``drop_last`` false) swapped back to (a_count, b_count).
     """
     p1 = list(accumulate(first_runs, initial=0))

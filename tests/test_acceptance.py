@@ -20,7 +20,7 @@ import struct
 import time
 
 from conftest import index_bytes, seal, set_count
-from cornerindex.corner import assemble_lmin, build_index, build_lmin, lmin_candidates
+from cornerindex.build import assemble_lmin, build_index, build_lmin, lmin_candidates
 from cornerindex.oracle import (
     bmin_bmax_naive,
     lemma1_witness_check,
@@ -105,7 +105,7 @@ def test_criterion_01_worked_example():
 
 @criterion(2, "construction trace", budget_s=1.0)
 def test_criterion_02_construction_trace():
-    from cornerindex.corner import BuildTrace
+    from cornerindex.build import BuildTrace
 
     trace = BuildTrace()
     build_lmin(encode(EXAMPLE), trace)

@@ -13,9 +13,9 @@ import types
 import pytest
 
 from conftest import EXAMPLE, EXAMPLE_PNF_A, EXAMPLE_PNF_B
-from cornerindex import cli, corner
+from cornerindex import build, cli
+from cornerindex.build import build_index
 from cornerindex.cli import main
-from cornerindex.corner import build_index
 from cornerindex.persist import load_index, save_index, serialize
 from cornerindex.textgen import coin_string
 
@@ -567,7 +567,7 @@ def test_serving_never_imports_numpy(tmp_path, example_index):
     queries = tmp_path / "queries.txt"
     queries.write_text("3 3\n5 1\n")
     small = "ab" * 31  # 31 run pairs, 496 spans: one block
-    assert 31 * 32 // 2 <= corner._BLOCK
+    assert 31 * 32 // 2 <= build._BLOCK
     (tmp_path / "small.txt").write_text(small)
     out = subprocess.run(
         [sys.executable, "-c", _NO_NUMPY, example_index, str(queries),

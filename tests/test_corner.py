@@ -28,11 +28,9 @@ from conftest import (
     reference_query,
     reference_sweep,
 )
-from cornerindex import corner
-from cornerindex.corner import (
+from cornerindex import build
+from cornerindex.build import (
     BuildTrace,
-    CornerIndex,
-    CornerList,
     assemble_lmax,
     assemble_lmin,
     build_index,
@@ -42,6 +40,7 @@ from cornerindex.corner import (
     lmax_candidates,
     lmin_candidates,
 )
+from cornerindex.corner import CornerIndex, CornerList
 from cornerindex.oracle import bmin_bmax_naive, parikh_set_bruteforce, sliding_window_query
 from cornerindex.persist import deserialize, load_index, save_index, serialize
 from cornerindex.rle import MAX_TEXT_LENGTH, RunLengthEncoding, encode
@@ -168,10 +167,14 @@ class TestConstruction:
     def test_traced_build_is_the_sequential_sweep(self):
         # A traced build of any size skips the block path, so its lists are
         # the untraced ones and its events those of the sequential sweep.
+        # The loop below names each build function `build`, so the module
+        # goes by another name here.
+        from cornerindex import build as construction
+
         rle = encode(coin_string(random.Random(2024), 2000))
-        assert rle.pairs * (rle.pairs + 1) // 2 > corner._BLOCK
+        assert rle.pairs * (rle.pairs + 1) // 2 > construction._BLOCK
         untraced = build_lmin(rle), build_lmax(rle)
-        with mock.patch.object(corner, "_Blocks", side_effect=AssertionError):
+        with mock.patch.object(construction, "_Blocks", side_effect=AssertionError):
             for build, args, built in (
                 (build_lmin, (rle.a_runs, rle.b_runs, True), untraced[0]),
                 (build_lmax, (rle.b_runs, rle.a_runs, False), untraced[1]),
@@ -209,13 +212,13 @@ def _shapes():
 
 
 def _sweeps(rle):
-    """corner._Blocks's arguments for the l_min and the l_max sweep."""
+    """build._Blocks's arguments for the l_min and the l_max sweep."""
     return [(rle.a_runs, rle.b_runs), (rle.b_runs, rle.a_runs[1:])]
 
 
 def _block_modes(first_runs, second):
     """(dense, rows) of each block the block path forms over these runs."""
-    blocks = corner._Blocks(first_runs, second)
+    blocks = build._Blocks(first_runs, second)
     return [(blocks.dense, len(x)) for x, _ in blocks]
 
 
@@ -256,11 +259,11 @@ def _is_subsequence(part, whole):
 
 
 def _prefiltered(first_runs, second):
-    """The block path of corner._sweep over these runs: per block, the
+    """The block path of build._sweep over these runs: per block, the
     staircase at its start, its spans as (flat position, row, x, y), the
     positions undominated keeps and whether it read the row table; and
     every survivor, in order."""
-    blocks = corner._Blocks(first_runs, second)
+    blocks = build._Blocks(first_runs, second)
     xs, ys = [], []
     log, survivors = [], []
     for bx, by in blocks:
@@ -274,14 +277,14 @@ def _prefiltered(first_runs, second):
         log.append((stair, spans, keep, blocks.dense))
         kept = [(int(bx.flat[p]), int(by.flat[p])) for p in keep]
         survivors += kept
-        corner._feed(xs, ys, kept)
+        build._feed(xs, ys, kept)
     return log, survivors
 
 
 def _one_row_survivors(first_runs, second):
     """The survivors of one-row blocks, each row tested against the
     staircase as it stood at the row's start, from the plain span list."""
-    spans = list(corner._spans(first_runs, second))
+    spans = list(build._spans(first_runs, second))
     xs, ys = [], []
     survivors = []
     start = 0
@@ -289,7 +292,7 @@ def _one_row_survivors(first_runs, second):
         kept = [(x, y) for x, y in spans[start : start + w]
                 if not any(sx >= x and sy <= y for sx, sy in zip(xs, ys))]
         survivors += kept
-        corner._feed(xs, ys, kept)
+        build._feed(xs, ys, kept)
         start += w
     return survivors
 
@@ -333,7 +336,7 @@ class TestBatchedSweep:
             for sweep in _sweeps(rle):
                 assert _block_modes(*sweep) == [(True, rle.pairs)]
         else:
-            assert rle.pairs > corner._BLOCK
+            assert rle.pairs > build._BLOCK
         assert_matches_reference(rle)
 
     def test_shapes_reach_every_block_kind(self):
@@ -352,7 +355,7 @@ class TestBatchedSweep:
         block, (lo, hi), first, second = _PREFILTER_MODES[mode]
         rng = random.Random(mode)
         reached = set()
-        with mock.patch.object(corner, "_BLOCK", block):
+        with mock.patch.object(build, "_BLOCK", block):
             for _ in range(12):
                 rle = _random_runs(rng, rng.randint(lo, hi), first, second)
                 for sweep, drop_last in zip(_sweeps(rle), (True, False)):
@@ -395,7 +398,7 @@ class TestBatchedSweep:
     def test_golden_bytes(self, rle, v1_digest, v2_digest):
         # .cix bytes pin both lists and both peaks in full: the version 1
         # layout through the reference writer, version 2 as serialize writes it
-        index = corner.index_from_rle(rle)
+        index = build.index_from_rle(rle)
         sink = io.BytesIO()
         serialize(index, sink)
         assert hashlib.sha256(index_bytes(index, 1)).hexdigest() == v1_digest
@@ -404,7 +407,7 @@ class TestBatchedSweep:
     @given(run_lists(), st.sampled_from([1, 2, 3, 8, 64]))
     @settings(max_examples=200, deadline=None)
     def test_any_runs_any_block_size(self, rle, block):
-        with mock.patch.object(corner, "_BLOCK", block):
+        with mock.patch.object(build, "_BLOCK", block):
             assert_matches_reference(rle)
 
     def test_small_block_sizes_reach_every_block_kind(self):
@@ -413,7 +416,7 @@ class TestBatchedSweep:
         rng = random.Random(12)
         kinds = set()
         for block in (1, 2, 3, 8, 64):
-            with mock.patch.object(corner, "_BLOCK", block):
+            with mock.patch.object(build, "_BLOCK", block):
                 for _ in range(30):
                     r = rng.randint(1, 60)
                     rle = _random_runs(rng, r, _run_list_run, _run_list_run)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     EXAMPLE,
+    all_binary_strings,
     cix_bytes,
     cix_field,
     index_bytes,
@@ -18,8 +19,9 @@ from conftest import (
     seal,
     set_count,
 )
+from cornerindex.build import build_index, index_from_rle
 from cornerindex.cli import main
-from cornerindex.corner import CornerIndex, CornerList, build_index, index_from_rle
+from cornerindex.corner import CornerIndex, CornerList
 from cornerindex.rle import RunLengthEncoding
 from cornerindex.textgen import coin_string, geometric_run_string
 from cornerindex.persist import (
@@ -95,6 +97,19 @@ class TestRoundTrip:
     def test_constructor_checks_anchors(self, l_min, l_max, message):
         with pytest.raises(ValueError, match=message):
             CornerIndex(CornerList(l_min), CornerList(l_max))
+
+    def test_crossed_lists_are_not_written(self):
+        # Each list is valid on its own and the anchors agree, but
+        # bmin(1) = 3 > bmax(1) = 1, which no string has.
+        idx = CornerIndex(CornerList([(0, 0), (2, 3)]),
+                          CornerList([(0, 0), (1, 1), (2, 3)]))
+        message = r"^corner lists cross: bmin\(1\) = 3 > bmax\(1\) = 1$"
+        with pytest.raises(ValueError, match=message):
+            serialized(idx)
+
+    def test_every_short_string_is_written(self):
+        for s in all_binary_strings(10):
+            assert serialized(build_index(s))
 
     @given(st.text(alphabet="ab", max_size=50))
     @settings(max_examples=150)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EXAMPLE, EXAMPLE_PNF_A, EXAMPLE_PNF_B, all_binary_strings
-from cornerindex.corner import build_index, index_from_rle
+from cornerindex.build import build_index, index_from_rle
 from cornerindex.oracle import parikh_set_bruteforce
 from cornerindex.pnf import PnfPair, pnf_from_index, verify_pnf_relations
 from cornerindex.rle import RunLengthEncoding, encode

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import HUGE_RUNS, assert_matches_reference
-from cornerindex import corner
+from cornerindex import build
 from cornerindex.rle import (
     MAX_TEXT_LENGTH,
     InputFormatError,
@@ -147,8 +147,8 @@ def test_encode_equals_validated_encoding(s):
 def test_huge_runs_build_exactly(a_runs, b_runs):
     # the numpy sweep works in uint64 (block size 1 sends these few runs
     # through it); sums near the limit must not wrap
-    for block in (1, corner._BLOCK):
-        with mock.patch.object(corner, "_BLOCK", block):
+    for block in (1, build._BLOCK):
+        with mock.patch.object(build, "_BLOCK", block):
             assert_matches_reference(RunLengthEncoding(a_runs, b_runs))
 
 
