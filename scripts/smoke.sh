@@ -18,8 +18,10 @@ done
 # the sequential sweep, of up to 512 mostly the numpy block path, with
 # fair-coin and with geometric runs; experiment draws its corpus as verify
 # does; pnf, query and build import their modules on demand, and a jsonl
-# build writes the same file; a .cix file with one payload byte flipped
-# must fail its checksum and exit 2.
+# build writes the same file and reports its size as `bytes`, which
+# file_size of the loaded index must equal; a .cix file cut 3 bytes short
+# must exit 2 as truncated, and one with a payload byte flipped must fail
+# its checksum and exit 2.
 python -m cornerindex verify --count 200 --length 48 --seed 7
 python -m cornerindex verify --count 60 --length 512 --seed 11
 python -m cornerindex verify --count 60 --length 512 --seed 11 --run-geometric 0.3
@@ -33,8 +35,22 @@ python -m cornerindex build --input "$dir/smoke.txt" --index "$dir/smoke.cix"
 python -m cornerindex bench --index "$dir/smoke.cix" --count 20000
 python -m cornerindex pnf --index "$dir/smoke.cix" > /dev/null
 printf '1 1\n1500 1500\n' | python -m cornerindex query --index "$dir/smoke.cix" --format jsonl
-python -m cornerindex build --input "$dir/smoke.txt" --index "$dir/again.cix" --format jsonl
+python -m cornerindex build --input "$dir/smoke.txt" --index "$dir/again.cix" --format jsonl | tee "$dir/build.jsonl"
 cmp "$dir/smoke.cix" "$dir/again.cix"
+python3 -c '
+import json, os, sys
+from cornerindex.persist import file_size, load_index
+size = os.path.getsize(sys.argv[1])
+reported = json.loads(open(sys.argv[2]).read())["bytes"]
+if not size == file_size(load_index(sys.argv[1])) == reported:
+    sys.exit(f"smoke.cix holds {size} bytes; build reported {reported}")
+' "$dir/smoke.cix" "$dir/build.jsonl"
+python3 -c 'import sys; raw = open(sys.argv[1], "rb").read(); open(sys.argv[2], "wb").write(raw[:-3])' "$dir/smoke.cix" "$dir/short.cix"
+status=0
+echo "1 1" | python -m cornerindex query --index "$dir/short.cix" 2> "$dir/short.err" || status=$?
+cat "$dir/short.err"
+test "$status" -eq 2
+grep -q truncated "$dir/short.err"
 python3 -c 'import sys; raw = bytearray(open(sys.argv[1], "rb").read()); raw[100] ^= 1; open(sys.argv[1], "wb").write(raw)' "$dir/smoke.cix"
 status=0
 echo "1 1" | python -m cornerindex query --index "$dir/smoke.cix" 2> "$dir/query.err" || status=$?

@@ -97,8 +97,8 @@ def cmd_build(args) -> int:
     rle = encode(text)
     index = index_from_rle(rle)
     elapsed = time.perf_counter() - t0
-    save_index(index, args.index)
-    fields = _size_fields(rle, index) + [("elapsed_s", f"{elapsed:.3f}")]
+    written = save_index(index, args.index)
+    fields = _size_fields(rle, index) + [("bytes", written), ("elapsed_s", f"{elapsed:.3f}")]
     _emit(args.format, fields, sys.stdout)
     return EXIT_OK
 

@@ -64,6 +64,15 @@ class CornerList(Sequence):
         self._init(xs, ys)
         return self
 
+    @classmethod
+    def _unchecked(cls, xs: tuple[int, ...], ys: tuple[int, ...]) -> CornerList:
+        """The list with coordinate tuples xs and ys, which the caller has
+        already shown to be non-negative and strictly increasing."""
+        self = cls.__new__(cls)
+        self._xs = xs
+        self._ys = ys
+        return self
+
     def _init(self, xs: tuple[int, ...], ys: tuple[int, ...]) -> None:
         # Each check is one C-level pass over a tuple.
         if xs and (xs[0] < 0 or ys[0] < 0):
@@ -207,6 +216,12 @@ class CornerIndex(_Record):
         Out-of-range and non-integral pairs are simply absent (returns
         False, never raises). Integral values of other numeric types, such
         as numpy integers or 2.0, are answered as the ints they equal.
+
+        The first lookup on an index (query, bmin or bmax) builds the
+        segment table in one O(|l_min| + |l_max|) merge: 13-26 µs for an
+        index of a text of up to 512 characters, about 1 ms for one of
+        4,000 corners. An index queried fewer than about 50 times does not
+        earn that back.
         """
         if type(x) is not int or type(y) is not int:
             if x % 1 or y % 1:

@@ -1,11 +1,11 @@
 """Binary on-disk format for corner indexes.
 
-``serialize`` writes format version 2; ``deserialize`` reads versions 1
-and 2. Layout of version 2, all integers little-endian:
+``serialize`` writes format version 3; ``deserialize`` reads versions 1
+to 3. Layout of version 3, all integers little-endian:
 
     offset  size        field
     0       8           magic b"CORNERIX"
-    8       4           format version (u32), 2
+    8       4           format version (u32), 3
     12      8           n            total text length
     20      8           total_a
     28      8           total_b
@@ -13,15 +13,25 @@ and 2. Layout of version 2, all integers little-endian:
     44      8           l_max entry count, k_max
     52      8           peak working size while building l_min
     60      8           peak working size while building l_max
-    68      wa * k_min  l_min a-counts
-    ...     wb * k_min  l_min b-counts
-    ...     wa * k_max  l_max a-counts
-    ...     wb * k_max  l_max b-counts
+    68      4           column widths w1, w2, w3, w4 (u8 each)
+    72      w1 * k_min  l_min a-counts
+    ...     w2 * k_min  l_min b-counts
+    ...     w3 * k_max  l_max a-counts
+    ...     w4 * k_max  l_max b-counts
     ...     4           CRC32 (zlib.crc32, u32) of every byte before it
 
-wa is the smallest of 1, 2, 4 and 8 bytes that holds total_a, and wb the
-smallest that holds total_b: no stored count exceeds its letter total, so
-the header fixes the widths and the file stores none.
+Each column stores its list's first count, then the difference from each
+count to the next, all at its own width: the smallest of 1, 2, 4 and 8
+bytes that holds the largest of those values. Consecutive corners differ by
+one run of a prefix normal form, so the differences are run lengths and
+often need fewer bytes than the counts. Stored values are unsigned, so a
+list is strictly increasing exactly when no difference after its first
+value is zero.
+
+Version 2, read only, has the same header with version 2 and no width
+bytes, then the four columns as absolute counts, each a-count column as
+wide as total_a needs and each b-count column as wide as total_b needs by
+the same rule, then the CRC32.
 
 Version 1, read only, has the same header with version 1, then the k_min
 l_min entries and the k_max l_max entries, each an (a_count u64, b_count
@@ -30,9 +40,10 @@ within the totals loads as a different index.
 
 A bad magic or unknown version raises IndexFormatError. Everything else a
 reader can notice wrong about the payload raises CorruptIndexError with the
-failing check named in the message; an entry count that the letter totals
-rule out is rejected before any payload is read, and a version 2 file whose
-checksum does not match is rejected before its entries are decoded.
+failing check named in the message. An entry count that the letter totals
+rule out, and a width byte other than 1, 2, 4 or 8, are rejected before any
+payload is read; a version 2 or 3 file whose checksum does not match is
+rejected before its entries are decoded.
 
 ``serialize`` raises ValueError if the lists cross (bmin(x) > bmax(x) for
 some x), as no string's lists do. The loader skips that check, a bisect per
@@ -45,6 +56,8 @@ from __future__ import annotations
 import struct
 import zlib
 from bisect import bisect_right
+from itertools import accumulate
+from operator import mul, sub
 from typing import BinaryIO
 
 from .corner import CornerIndex, CornerList
@@ -62,12 +75,18 @@ __all__ = [
 ]
 
 MAGIC = b"CORNERIX"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _HEADER = struct.Struct("<8sI7Q")
 _CRC = struct.Struct("<I")
 _CRC_RESIDUE = 0x2144DF1C
 _CHUNK = 1 << 20
+
+# Struct code of each column width, and the width for each number of bytes
+# a value needs, 0 to 8.
+_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_WIDTH_BYTES = bytes(_CODES)
+_WIDTHS = (1, 1, 2, 4, 4, 8, 8, 8, 8)
 
 
 class IndexFormatError(ValueError):
@@ -78,25 +97,34 @@ class CorruptIndexError(ValueError):
     """Structurally a corner-index file, but its content is inconsistent."""
 
 
-# Indexed by the number of bytes a count needs, 0 to 8.
-_COLUMNS = (("B", 1), ("B", 1), ("H", 2), ("I", 4), ("I", 4)) + (("Q", 8),) * 4
+def _width(largest: int) -> int:
+    """Byte width of the narrowest unsigned column that holds every value
+    from 0 to largest."""
+    return _WIDTHS[(largest.bit_length() + 7) >> 3]
 
 
-def _column(total: int) -> tuple[str, int]:
-    """Struct code and byte width of the narrowest unsigned column that
-    holds every count from 0 to total."""
-    return _COLUMNS[(total.bit_length() + 7) >> 3]
+def _columns(index: CornerIndex) -> tuple[list[tuple[int, ...]], bytes]:
+    """The four version 3 columns of index, each coordinate tuple of l_min
+    and l_max as its first value and then its successive differences, and
+    their widths."""
+    columns = [
+        (col[0], *map(sub, col[1:], col))
+        for col in (index.l_min.xs, index.l_min.ys, index.l_max.xs, index.l_max.ys)
+    ]
+    return columns, bytes(_width(max(col)) for col in columns)
 
 
 def file_size(index: CornerIndex) -> int:
     """Exact byte size serialize() will produce for this index."""
-    width = _column(index.total_a)[1] + _column(index.total_b)[1]
-    return _HEADER.size + width * (len(index.l_min) + len(index.l_max)) + _CRC.size
+    columns, widths = _columns(index)
+    payload = sum(map(mul, widths, map(len, columns)))
+    return _HEADER.size + len(widths) + payload + _CRC.size
 
 
-def serialize(index: CornerIndex, sink: BinaryIO) -> None:
-    """Write the index to a binary stream in the version 2 layout; raise
-    ValueError, naming x and both bounds, at the first x with bmin(x) > bmax(x)."""
+def serialize(index: CornerIndex, sink: BinaryIO) -> int:
+    """Write the index to a binary stream in the version 3 layout and return
+    the number of bytes written; raise ValueError, naming x and both bounds,
+    at the first x with bmin(x) > bmax(x)."""
     l_min, l_max = index.l_min, index.l_max
     xs_max, ys_max = l_max.xs, l_max.ys
     # bmin is l_min.ys[i] on (l_min.xs[i - 1], l_min.xs[i]]; bmax is lowest at its start.
@@ -105,25 +133,23 @@ def serialize(index: CornerIndex, sink: BinaryIO) -> None:
         if low > high:
             raise ValueError(
                 f"corner lists cross: bmin({x + 1}) = {low} > bmax({x + 1}) = {high}")
+    columns, widths = _columns(index)
     head = _HEADER.pack(
         MAGIC,
         FORMAT_VERSION,
         index.n,
         index.total_a,
         index.total_b,
-        len(index.l_min),
-        len(index.l_max),
+        len(l_min),
+        len(l_max),
         index.peak_min,
         index.peak_max,
-    )
-    code_a = _column(index.total_a)[0]
-    code_b = _column(index.total_b)[0]
-    k_min, k_max = len(l_min), len(l_max)
+    ) + widths
     body = struct.pack(
-        f"<{k_min}{code_a}{k_min}{code_b}{k_max}{code_a}{k_max}{code_b}",
-        *l_min.xs, *l_min.ys, *l_max.xs, *l_max.ys,
+        "<" + "".join(f"{len(col)}{_CODES[w]}" for col, w in zip(columns, widths)),
+        *columns[0], *columns[1], *columns[2], *columns[3],
     )
-    sink.write(head + body + _CRC.pack(zlib.crc32(body, zlib.crc32(head))))
+    return sink.write(head + body + _CRC.pack(zlib.crc32(body, zlib.crc32(head))))
 
 
 def _read(source: BinaryIO, size: int) -> bytes:
@@ -152,14 +178,13 @@ def _read_pairs(
 
 
 def _read_columns(
-    source: BinaryIO, head: bytes, total_a: int, total_b: int, k_min: int, k_max: int
+    source: BinaryIO, head: bytes, widths: tuple[int, ...] | bytes, k_min: int, k_max: int
 ) -> tuple[tuple[int, ...], ...]:
-    """The four version 2 columns after ``head``, checked against the CRC:
-    l_min a-counts, l_min b-counts, l_max a-counts, l_max b-counts."""
-    code_a, width_a = _column(total_a)
-    code_b, width_b = _column(total_b)
-    size_min = (width_a + width_b) * k_min
-    size = size_min + (width_a + width_b) * k_max
+    """The four columns after ``head``, ``widths[i]`` bytes a value in
+    column i, checked against the CRC: l_min a-counts, l_min b-counts,
+    l_max a-counts, l_max b-counts."""
+    size_min = (widths[0] + widths[1]) * k_min
+    size = size_min + (widths[2] + widths[3]) * k_max
     data = _read(source, size + _CRC.size)
     if len(data) != size + _CRC.size:
         if len(data) < size_min:
@@ -179,16 +204,18 @@ def _read_columns(
     # Each column straight into its tuple: per-column formats recur across
     # files, so struct's format cache serves most of them, and no tuple is
     # sliced.
+    w1, w2, w3, w4 = widths
     unpack = struct.unpack_from
     return (
-        unpack(f"<{k_min}{code_a}", data),
-        unpack(f"<{k_min}{code_b}", data, width_a * k_min),
-        unpack(f"<{k_max}{code_a}", data, size_min),
-        unpack(f"<{k_max}{code_b}", data, size_min + width_a * k_max),
+        unpack(f"<{k_min}{_CODES[w1]}", data),
+        unpack(f"<{k_min}{_CODES[w2]}", data, w1 * k_min),
+        unpack(f"<{k_max}{_CODES[w3]}", data, size_min),
+        unpack(f"<{k_max}{_CODES[w4]}", data, size_min + w3 * k_max),
     )
 
 
 def _validated_list(xs: tuple[int, ...], ys: tuple[int, ...], name: str) -> CornerList:
+    """The list of version 1 or 2 coordinate tuples xs and ys."""
     if not xs:
         raise CorruptIndexError(f"{name} is empty")
     try:
@@ -199,6 +226,18 @@ def _validated_list(xs: tuple[int, ...], ys: tuple[int, ...], name: str) -> Corn
         raise CorruptIndexError(
             f"{name} is not strictly increasing in both coordinates"
         ) from None
+
+
+def _check_differences(dxs: tuple[int, ...], dys: tuple[int, ...], name: str) -> None:
+    """Check a list stored as version 3 columns dxs and dys."""
+    if not dxs:
+        raise CorruptIndexError(f"{name} is empty")
+    # One C-level truth test a value, cheaper than a pairwise pass over the
+    # sums or tuple.count(0)'s comparisons.
+    if not (all(dxs[1:]) and all(dys[1:])):
+        raise CorruptIndexError(
+            f"{name} is not strictly increasing in both coordinates"
+        )
 
 
 def deserialize(source: BinaryIO) -> CornerIndex:
@@ -212,7 +251,7 @@ def deserialize(source: BinaryIO) -> CornerIndex:
     version, n, total_a, total_b, k_min, k_max, peak_min, peak_max = struct.unpack(
         "<I7Q", rest
     )
-    if version not in (1, 2):
+    if version not in (1, 2, 3):
         raise IndexFormatError(f"unsupported format version {version}")
     if n != total_a + total_b:
         raise CorruptIndexError("letter totals do not sum to the text length")
@@ -225,15 +264,36 @@ def deserialize(source: BinaryIO) -> CornerIndex:
                 f"{name} claims {count} entries; letter totals {total_a} and "
                 f"{total_b} allow at most {most}"
             )
-    if version == 1:
-        xs_min, ys_min = _read_pairs(source, k_min, "l_min")
-        xs_max, ys_max = _read_pairs(source, k_max, "l_max")
-    else:
-        xs_min, ys_min, xs_max, ys_max = _read_columns(
-            source, magic + rest, total_a, total_b, k_min, k_max
+    if version == 3:
+        widths = source.read(4)
+        if len(widths) != 4:
+            raise CorruptIndexError("truncated header")
+        # Stripping the known widths leaves the first unknown one in front.
+        unknown = widths.strip(_WIDTH_BYTES)
+        if unknown:
+            raise CorruptIndexError(
+                f"unknown column width {unknown[0]}; widths are 1, 2, 4 or 8 bytes"
+            )
+        dxs_min, dys_min, dxs_max, dys_max = _read_columns(
+            source, magic + rest + widths, widths, k_min, k_max
         )
-    l_min = _validated_list(xs_min, ys_min, "l_min")
-    l_max = _validated_list(xs_max, ys_max, "l_max")
+        _check_differences(dxs_min, dys_min, "l_min")
+        _check_differences(dxs_max, dys_max, "l_max")
+        xs_min, ys_min = tuple(accumulate(dxs_min)), tuple(accumulate(dys_min))
+        xs_max, ys_max = tuple(accumulate(dxs_max)), tuple(accumulate(dys_max))
+        l_min = CornerList._unchecked(xs_min, ys_min)
+        l_max = CornerList._unchecked(xs_max, ys_max)
+    else:
+        if version == 1:
+            xs_min, ys_min = _read_pairs(source, k_min, "l_min")
+            xs_max, ys_max = _read_pairs(source, k_max, "l_max")
+        else:
+            wa, wb = _width(total_a), _width(total_b)
+            xs_min, ys_min, xs_max, ys_max = _read_columns(
+                source, magic + rest, (wa, wb, wa, wb), k_min, k_max
+            )
+        l_min = _validated_list(xs_min, ys_min, "l_min")
+        l_max = _validated_list(xs_max, ys_max, "l_max")
     if xs_min[-1] != total_a:
         raise CorruptIndexError("l_min does not end at the total a-count")
     if ys_max[-1] != total_b:
@@ -245,9 +305,10 @@ def deserialize(source: BinaryIO) -> CornerIndex:
         raise CorruptIndexError(str(exc)) from None
 
 
-def save_index(index: CornerIndex, path: str) -> None:
+def save_index(index: CornerIndex, path: str) -> int:
+    """Write the index to the file at path; return its size in bytes."""
     with open(path, "wb") as fh:
-        serialize(index, fh)
+        return serialize(index, fh)
 
 
 def load_index(path: str) -> CornerIndex:

@@ -130,23 +130,37 @@ def reference_corner_points(points):
 _CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-def _v2_layout(raw):
-    """The a- and b-column widths of a version 2 file and the size of its
-    header and payload, all read off its header: each width is the
-    narrowest of 1, 2, 4 and 8 bytes that holds the letter total."""
-    total_a, total_b, k_min, k_max = struct.unpack_from("<4Q", raw, 20)
-    wa, wb = (next(w for w in (1, 2, 4, 8) if t < 256 ** w) for t in (total_a, total_b))
-    return wa, wb, 68 + (wa + wb) * (k_min + k_max)
+def _fit(value):
+    """The narrowest of 1, 2, 4 and 8 bytes that holds value."""
+    return next(w for w in (1, 2, 4, 8) if value < 256 ** w)
+
+
+def _layout(raw):
+    """The widths of the four columns of a version 2 or 3 file (l_min
+    a-counts, l_min b-counts, l_max a-counts, l_max b-counts), the offset of
+    the first, and the size of its header and payload, all read off its
+    header: version 2 sizes each column by its letter total, version 3
+    stores the widths in the four bytes after the 68-byte header."""
+    version, total_a, total_b, k_min, k_max = struct.unpack_from("<I8x4Q", raw, 8)
+    if version == 3:
+        widths, start = tuple(raw[68:72]), 72
+    else:
+        widths, start = (_fit(total_a), _fit(total_b)) * 2, 68
+    return widths, start, start + (widths[0] + widths[1]) * k_min + (widths[2] + widths[3]) * k_max
 
 
 def cix_bytes(version, n, total_a, total_b, l_min, l_max, peak_min, peak_max):
-    """Reference .cix writer for both format versions: the bytes of a file
-    with these header fields and these lists of (a_count, b_count) pairs,
-    laid out as ``version`` says, whether or not the fields are consistent.
+    """Reference .cix writer for the three format versions: the bytes of a
+    file with these header fields and these lists of (a_count, b_count)
+    pairs, laid out as ``version`` says, whether or not the fields are
+    consistent.
 
-    Version 1 stores each entry as two u64s and no checksum; version 2
+    Version 1 stores each entry as two u64s and no checksum. Version 2
     stores four columns, each as wide as its letter total needs, and a CRC32
-    of everything before it."""
+    of everything before it. Version 3 stores each column as its first count
+    and then the difference from each count to the next, as wide as the
+    largest of those needs, the four widths as bytes after the header, and
+    the CRC32; each list must increase."""
     header = struct.pack(
         "<8sI7Q", b"CORNERIX", version, n, total_a, total_b,
         len(l_min), len(l_max), peak_min, peak_max,
@@ -154,11 +168,16 @@ def cix_bytes(version, n, total_a, total_b, l_min, l_max, peak_min, peak_max):
     if version == 1:
         flat = [v for lst in (l_min, l_max) for point in lst for v in point]
         return header + struct.pack(f"<{len(flat)}Q", *flat)
-    wa, wb, _ = _v2_layout(header)
+    columns = [[point[coord] for point in lst] for lst in (l_min, l_max) for coord in (0, 1)]
+    if version == 3:
+        columns = [[b - a for a, b in zip([0, *col], col)] for col in columns]
+        widths = [_fit(max(col, default=0)) for col in columns]
+        header += bytes(widths)
+    else:
+        widths = _layout(header)[0]
     body = header + b"".join(
-        struct.pack(f"<{len(lst)}{_CODES[width]}", *(point[coord] for point in lst))
-        for lst in (l_min, l_max)
-        for coord, width in ((0, wa), (1, wb))
+        struct.pack(f"<{len(col)}{_CODES[width]}", *col)
+        for col, width in zip(columns, widths)
     )
     return body + struct.pack("<I", zlib.crc32(body))
 
@@ -166,41 +185,82 @@ def cix_bytes(version, n, total_a, total_b, l_min, l_max, peak_min, peak_max):
 def index_bytes(index, version):
     """The index written by ``cix_bytes`` in the given format version;
     version 1 gives the bytes ``persist.serialize`` wrote before format
-    version 2."""
+    version 2, version 2 those it wrote before version 3."""
     return cix_bytes(
         version, index.n, index.total_a, index.total_b, list(index.l_min),
         list(index.l_max), index.peak_min, index.peak_max,
     )
 
 
+def _version(raw):
+    return struct.unpack_from("<I", raw, 8)[0]
+
+
 def cix_field(raw, name, i, coord):
-    """Offset and struct format of one stored count in the .cix bytes raw:
+    """Offset and struct format of one stored value in the .cix bytes raw:
     coordinate ``coord`` (0 for the a-count, 1 for the b-count) of entry
-    ``i`` of list ``name``, laid out as the file's own header says."""
-    version, k_min, k_max = struct.unpack_from("<I24x2Q", raw, 8)
+    ``i`` of list ``name``, laid out as the file's own header says. The
+    value is that count in versions 1 and 2, and in version 3 the
+    difference from the entry before (the count itself for entry 0)."""
+    k_min, k_max = struct.unpack_from("<2Q", raw, 36)
     after = name == "l_max"
-    if version == 1:
+    if _version(raw) == 1:
         return 68 + 16 * (k_min * after + i) + 8 * coord, "<Q"
-    wa, wb, _ = _v2_layout(raw)
-    count = k_max if after else k_min
-    offset = 68 + (wa + wb) * k_min * after + wa * count * coord
-    width = (wa, wb)[coord]
-    return offset + width * i, "<" + _CODES[width]
+    widths, offset, _ = _layout(raw)
+    column = 2 * after + coord
+    offset += sum(w * k for w, k in zip(widths[:column], (k_min, k_min, k_max)))
+    return offset + widths[column] * i, "<" + _CODES[widths[column]]
+
+
+def stored(raw, name, i, coord):
+    """The value ``cix_field`` locates in raw."""
+    offset, fmt = cix_field(raw, name, i, coord)
+    return struct.unpack_from(fmt, raw, offset)[0]
+
+
+def count_at(raw, name, i, coord):
+    """The count that raw stores as coordinate ``coord`` of entry ``i`` of
+    list ``name``: in version 3, the sum of its column up to entry i."""
+    if _version(raw) == 3:
+        return sum(stored(raw, name, j, coord) for j in range(i + 1))
+    return stored(raw, name, i, coord)
 
 
 def set_count(raw, name, i, coord, value):
-    """Store value in place as the count ``cix_field`` locates in raw, a
-    bytearray; returns raw."""
-    offset, fmt = cix_field(raw, name, i, coord)
-    struct.pack_into(fmt, raw, offset, value)
+    """Make value the count ``count_at`` reads in raw, a bytearray, and
+    leave every other count as it was: in version 3, by moving the
+    difference before the entry and the one after it. Raises struct.error
+    when a stored value would not fit its column. Returns raw."""
+    if _version(raw) != 3:
+        offset, fmt = cix_field(raw, name, i, coord)
+        struct.pack_into(fmt, raw, offset, value)
+        return raw
+    shift = value - count_at(raw, name, i, coord)
+    count = struct.unpack_from("<Q", raw, 44 if name == "l_max" else 36)[0]
+    for j, move in ((i, shift), (i + 1, -shift)):
+        if j < count:
+            offset, fmt = cix_field(raw, name, j, coord)
+            struct.pack_into(fmt, raw, offset, stored(raw, name, j, coord) + move)
     return raw
 
 
+def decoded_lists(raw):
+    """The (a_count, b_count) lists l_min and l_max that a complete file
+    raw of any version stores, each count read on its own."""
+    counts = struct.unpack_from("<2Q", raw, 36)
+    return [
+        [tuple(count_at(raw, name, i, coord) for coord in (0, 1)) for i in range(k)]
+        for name, k in zip(("l_min", "l_max"), counts)
+    ]
+
+
 def seal(raw):
-    """A version 2 file made of raw's header and the payload it declares
-    (as much of it as raw holds), closed by a freshly computed CRC32, as a
-    writer would close those bytes."""
-    body = bytes(raw[:_v2_layout(raw)[2]])
+    """raw's header and the payload it declares (as much of it as raw
+    holds), closed as a writer closes them: a version 2 or 3 file gets a
+    freshly computed CRC32; a file of another version is returned as it is."""
+    if _version(raw) not in (2, 3):
+        return bytes(raw)
+    body = bytes(raw[:_layout(raw)[2]])
     return body + struct.pack("<I", zlib.crc32(body))
 
 

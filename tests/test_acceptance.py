@@ -282,27 +282,31 @@ def test_criterion_09_scaling():
 
 @criterion(10, "persistence round trip", budget_s=60.0)
 def test_criterion_10_persistence():
+    # Each index round-trips through serialize, and the version 1 and 2
+    # files that earlier writers made of it still load, peaks included.
     failures = 0
     for idx in random_indexes():
         buf = io.BytesIO()
         serialize(idx, buf)
-        buf.seek(0)
-        back = deserialize(buf)
-        if back != idx or (back.peak_min, back.peak_max) != (
-            idx.peak_min, idx.peak_max
-        ):
-            failures += 1
+        for raw in (buf.getvalue(), index_bytes(idx, 1), index_bytes(idx, 2)):
+            back = deserialize(io.BytesIO(raw))
+            if back != idx or (back.peak_min, back.peak_max) != (
+                idx.peak_min, idx.peak_max
+            ):
+                failures += 1
     assert failures == 0
 
-    # Each damaged file gets its named error, in both format versions. A
-    # version 2 file is resealed after each edit, so that the named check
-    # fires and not the checksum; the same edit left unsealed fails the
-    # checksum.
+    # Each damaged file gets its named error, in every format version. A
+    # version 2 or 3 file is resealed after each edit, so that the named
+    # check fires and not the checksum; the same edit left unsealed fails
+    # the checksum.
     example = build_index(EXAMPLE)
     buf = io.BytesIO()
     serialize(example, buf)
-    for version, good in ((1, index_bytes(example, 1)), (2, buf.getvalue())):
-        close = seal if version == 2 else bytes
+    files = ((1, index_bytes(example, 1)), (2, index_bytes(example, 2)), (3, buf.getvalue()))
+    for version, good in files:
+        close = bytes if version == 1 else seal
+        head = 72 if version == 3 else 68
 
         def header(offset: int, value: int, width: str = "<Q") -> bytes:
             raw = bytearray(good)
@@ -317,10 +321,14 @@ def test_criterion_10_persistence():
             (good[:30], CorruptIndexError, "truncated header"),
             (header(8, 99, "<I"), IndexFormatError, "unsupported format version 99"),
             (header(20, 5), CorruptIndexError, "letter totals do not sum"),
-            (good[:70], CorruptIndexError, "truncated l_min payload"),
+            (header(36, 11), CorruptIndexError, "l_min claims 11 entries"),
+            (header(44, 11), CorruptIndexError, "l_max claims 11 entries"),
+            (good[:head + 2], CorruptIndexError, "truncated l_min payload"),
             (good[:-8], CorruptIndexError, "truncated l_max payload"),
             (header(36, 0), CorruptIndexError, "l_min is empty"),
-            (entry("l_min", 0, 0, 6), CorruptIndexError, "not strictly increasing"),
+            # in version 3, a zero difference after the first value
+            (entry("l_min", 1, 0, 3), CorruptIndexError, "not strictly increasing"),
+            (entry("l_max", 2, 1, 5), CorruptIndexError, "not strictly increasing"),
             (entry("l_min", 3, 0, 8), CorruptIndexError, "does not end at the total a-count"),
             (entry("l_min", 0, 1, 1), CorruptIndexError, "does not start at b-count zero"),
             (entry("l_min", 3, 1, 11), CorruptIndexError, "b-count exceeds the total"),
@@ -328,11 +336,19 @@ def test_criterion_10_persistence():
             (entry("l_max", 4, 1, 10), CorruptIndexError, "does not end at the total b-count"),
             (entry("l_max", 4, 0, 10), CorruptIndexError, "a-count exceeds the total"),
         ]
-        if version == 2:
+        if version < 3:  # a version 3 difference cannot be negative
+            cases.append(
+                (entry("l_min", 0, 0, 6), CorruptIndexError, "not strictly increasing"))
+        if version > 1:
             cases += [
                 (good[:-1], CorruptIndexError, "truncated checksum"),
                 (bytes(set_count(bytearray(good), "l_max", 1, 1, 4)),
                  CorruptIndexError, "checksum mismatch"),
+            ]
+        if version == 3:
+            cases += [
+                (good[:70], CorruptIndexError, "truncated header"),
+                (header(69, 3, "<B"), CorruptIndexError, "unknown column width 3"),
             ]
         for raw, exc_type, needle in cases:
             try:

@@ -116,16 +116,18 @@ class TestBuild:
         assert code == 0
         out = capsys.readouterr().out
         for part in ["n=18", "rho=10", "lmin=4", "lmax=5",
-                     "peak_min=4", "peak_max=5", "elapsed_s="]:
+                     "peak_min=4", "peak_max=5", "bytes=94", "elapsed_s="]:
             assert part in out
         assert load_index(out_path) == build_index(EXAMPLE)
+        assert os.path.getsize(out_path) == 94
 
     def test_tsv(self, capsys, example_file, tmp_path):
         main(["build", "--input", example_file, "--format", "tsv",
               "--index", str(tmp_path / "o.cix")])
         header, values, *_ = capsys.readouterr().out.splitlines()
-        assert header.split("\t")[:4] == ["n", "rho", "lmin", "lmax"]
-        assert values.split("\t")[:4] == ["18", "10", "4", "5"]
+        assert header.split("\t") == ["n", "rho", "lmin", "lmax", "peak_min",
+                                      "peak_max", "bytes", "elapsed_s"]
+        assert values.split("\t")[:7] == ["18", "10", "4", "5", "4", "5", "94"]
 
     def test_jsonl_bytes(self, capsys, example_file, tmp_path):
         main(["build", "--input", example_file, "--format", "jsonl",
@@ -133,7 +135,7 @@ class TestBuild:
         out = capsys.readouterr().out
         head, elapsed = out.split(', "elapsed_s": ')
         assert head == ('{"n": 18, "rho": 10, "lmin": 4, "lmax": 5, '
-                        '"peak_min": 4, "peak_max": 5')
+                        '"peak_min": 4, "peak_max": 5, "bytes": 94')
         assert re.fullmatch(r'"\d+\.\d{3}"}\n', elapsed)
 
     def test_stdin(self, capsys, monkeypatch, tmp_path):
@@ -337,13 +339,13 @@ class TestQuery:
 
     def test_huge_entry_count(self, capsys, monkeypatch, example_index):
         # header claims 2^58 l_min entries, which totals of 2^58 letters
-        # each allow; only the 68-byte header exists
+        # each allow; only the 72-byte header, width bytes included, exists
         with open(example_index, "r+b") as fh:
             fh.seek(12)
             fh.write(struct.pack("<3Q", 1 << 59, 1 << 58, 1 << 58))
             fh.seek(36)
             fh.write(struct.pack("<Q", 1 << 58))
-            fh.truncate(68)
+            fh.truncate(72)
         monkeypatch.setattr(sys, "stdin", _stdin(b"1 1\n"))
         assert main(["query", "--index", example_index]) == 2
         assert "truncated l_min payload" in capsys.readouterr().err
