@@ -17,7 +17,8 @@ O(|l_min| + |l_max|), into one table of the a-count segments on which
 neither bmin nor bmax changes, with both values per segment and sentinel
 segments below 0 and above total_a that no b-count fits. ``bmin``, ``bmax``
 and ``query`` each find x's segment with one binary search; a query then
-compares y with the segment's two bounds.
+compares y with the segment's two bounds. The merge also refuses lists
+that cross (bmin(x) > bmax(x) for some x), which no string has.
 
 Construction lives in ``build.py``, which this module never imports.
 """
@@ -40,6 +41,10 @@ __all__ = [
 
 # A Parikh vector of a binary string: (number of a's, number of b's).
 ParikhVector = tuple[int, int]
+
+
+class CorruptIndexError(ValueError):
+    """Crossed corner lists, or an inconsistent corner-index file."""
 
 
 class CornerList(Sequence):
@@ -214,8 +219,9 @@ class CornerIndex(_Record):
         """Does some substring contain exactly x a's and y b's?
 
         Out-of-range and non-integral pairs are simply absent (returns
-        False, never raises). Integral values of other numeric types, such
-        as numpy integers or 2.0, are answered as the ints they equal.
+        False). Integral values of other numeric types, such as numpy
+        integers or 2.0, are answered as the ints they equal. The only
+        error is CorruptIndexError, for corner lists that cross.
 
         The first lookup on an index (query, bmin or bmax) builds the
         segment table in one O(|l_min| + |l_max|) merge: 13-26 µs for an
@@ -241,7 +247,8 @@ class CornerIndex(_Record):
         which is total_a + 1. Rows 0 (x < 0) and len(starts) (x > total_a)
         hold low = 1 > high = 0, which no y satisfies. Built by the first
         lookup, not on load; threads that make first lookups at once may
-        each build it, and all build the same table.
+        each build it, and all build the same table. Raises
+        CorruptIndexError at the smallest x where the lists cross.
         """
         xs_min, ys_min = self.l_min._xs, self.l_min._ys
         ys_max = self.l_max._ys
@@ -253,10 +260,17 @@ class CornerIndex(_Record):
         while x <= total_a:
             # Each x is the nearer of xs_min[i] + 1 and steps_max[j] for the
             # previous x's i and j, so i and j move on by at most one each.
-            if xs_min[i] < x:
-                i += 1
             if steps_max[j] <= x:
                 j += 1
+            if xs_min[i] < x:
+                i += 1
+                # bmin(0) = 0, and a step of bmax alone cannot make the
+                # lists cross, so a step of bmin is the only place to look.
+                if ys_min[i] > ys_max[j]:
+                    raise CorruptIndexError(
+                        f"corner lists cross: bmin({x}) = {ys_min[i]} > "
+                        f"bmax({x}) = {ys_max[j]}"
+                    )
             starts.append(x)
             low.append(ys_min[i])
             high.append(ys_max[j])

@@ -45,22 +45,21 @@ rule out, and a width byte other than 1, 2, 4 or 8, are rejected before any
 payload is read; a version 2 or 3 file whose checksum does not match is
 rejected before its entries are decoded.
 
-``serialize`` raises ValueError if the lists cross (bmin(x) > bmax(x) for
-some x), as no string's lists do. The loader skips that check, a bisect per
-l_min entry and a large share of a load, so a crossed file that another
-writer sealed still loads.
+Lists that cross (bmin(x) > bmax(x) for some x), as no string's lists do,
+are refused by the index's lookup-table merge, not here: a crossed file
+loads, and its first lookup raises CorruptIndexError. ``serialize`` builds
+that table first, so it never writes such lists.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from bisect import bisect_right
 from itertools import accumulate
 from operator import mul, sub
 from typing import BinaryIO
 
-from .corner import CornerIndex, CornerList
+from .corner import CornerIndex, CornerList, CorruptIndexError
 
 __all__ = [
     "MAGIC",
@@ -93,10 +92,6 @@ class IndexFormatError(ValueError):
     """Not a corner-index file, or a version this reader does not speak."""
 
 
-class CorruptIndexError(ValueError):
-    """Structurally a corner-index file, but its content is inconsistent."""
-
-
 def _width(largest: int) -> int:
     """Byte width of the narrowest unsigned column that holds every value
     from 0 to largest."""
@@ -123,16 +118,9 @@ def file_size(index: CornerIndex) -> int:
 
 def serialize(index: CornerIndex, sink: BinaryIO) -> int:
     """Write the index to a binary stream in the version 3 layout and return
-    the number of bytes written; raise ValueError, naming x and both bounds,
-    at the first x with bmin(x) > bmax(x)."""
-    l_min, l_max = index.l_min, index.l_max
-    xs_max, ys_max = l_max.xs, l_max.ys
-    # bmin is l_min.ys[i] on (l_min.xs[i - 1], l_min.xs[i]]; bmax is lowest at its start.
-    for x, low in zip(l_min.xs, l_min.ys[1:]):
-        high = ys_max[bisect_right(xs_max, x + 1) - 1]
-        if low > high:
-            raise ValueError(
-                f"corner lists cross: bmin({x + 1}) = {low} > bmax({x + 1}) = {high}")
+    the number of bytes written; raise CorruptIndexError, as the index's
+    first lookup does, if its lists cross."""
+    index._segments  # the lookup table, whose merge refuses crossed lists
     columns, widths = _columns(index)
     head = _HEADER.pack(
         MAGIC,
@@ -140,8 +128,8 @@ def serialize(index: CornerIndex, sink: BinaryIO) -> int:
         index.n,
         index.total_a,
         index.total_b,
-        len(l_min),
-        len(l_max),
+        len(index.l_min),
+        len(index.l_max),
         index.peak_min,
         index.peak_max,
     ) + widths
@@ -242,15 +230,12 @@ def _check_differences(dxs: tuple[int, ...], dys: tuple[int, ...], name: str) ->
 
 def deserialize(source: BinaryIO) -> CornerIndex:
     """Read an index back, validating every structural invariant."""
-    magic = source.read(8)
-    if magic != MAGIC:
+    head = source.read(_HEADER.size)
+    if head[:8] != MAGIC:
         raise IndexFormatError("bad magic; not a corner-index file")
-    rest = source.read(_HEADER.size - 8)
-    if len(rest) != _HEADER.size - 8:
+    if len(head) != _HEADER.size:
         raise CorruptIndexError("truncated header")
-    version, n, total_a, total_b, k_min, k_max, peak_min, peak_max = struct.unpack(
-        "<I7Q", rest
-    )
+    _, version, n, total_a, total_b, k_min, k_max, peak_min, peak_max = _HEADER.unpack(head)
     if version not in (1, 2, 3):
         raise IndexFormatError(f"unsupported format version {version}")
     if n != total_a + total_b:
@@ -275,7 +260,7 @@ def deserialize(source: BinaryIO) -> CornerIndex:
                 f"unknown column width {unknown[0]}; widths are 1, 2, 4 or 8 bytes"
             )
         dxs_min, dys_min, dxs_max, dys_max = _read_columns(
-            source, magic + rest + widths, widths, k_min, k_max
+            source, head + widths, widths, k_min, k_max
         )
         _check_differences(dxs_min, dys_min, "l_min")
         _check_differences(dxs_max, dys_max, "l_max")
@@ -290,7 +275,7 @@ def deserialize(source: BinaryIO) -> CornerIndex:
         else:
             wa, wb = _width(total_a), _width(total_b)
             xs_min, ys_min, xs_max, ys_max = _read_columns(
-                source, magic + rest, (wa, wb, wa, wb), k_min, k_max
+                source, head, (wa, wb, wa, wb), k_min, k_max
             )
         l_min = _validated_list(xs_min, ys_min, "l_min")
         l_max = _validated_list(xs_max, ys_max, "l_max")

@@ -25,7 +25,6 @@ __all__ = [
 # anything that could not round-trip through that representation.
 MAX_TEXT_LENGTH = (1 << 64) - 1
 
-_INVALID_CHAR = re.compile(r"[^ab]")
 _RUN = re.compile(r"a+|b+")
 
 
@@ -35,6 +34,22 @@ class InputFormatError(ValueError):
     def __init__(self, message: str, position: int | None = None):
         super().__init__(message)
         self.position = position
+
+
+def _check_letters(s: str, letters: str, offset: int = 0) -> None:
+    """Raise InputFormatError at the first character of s that is not one
+    of the two ASCII letters, naming it and its index plus offset."""
+    # Deleting the two letters leaves nothing from valid text; bytes.translate
+    # does that at C speed, so only a rejected text pays for the search.
+    if s.isascii() and not s.encode("ascii").translate(None, letters.encode()):
+        return
+    bad = re.search(f"[^{letters}]", s)
+    pos = offset + bad.start()
+    raise InputFormatError(
+        f"invalid character {bad.group()!r} at index {pos}; "
+        f"expected {letters[0]!r} or {letters[1]!r}",
+        position=pos,
+    )
 
 
 class MalformedEncodingError(ValueError):
@@ -132,15 +147,7 @@ def encode(s: str) -> RunLengthEncoding:
     """
     if len(s) > MAX_TEXT_LENGTH:
         raise InputFormatError("input exceeds the 64-bit length limit")
-    # Deleting the two letters leaves nothing from valid text; bytes.translate
-    # does that at C speed, so only a rejected text pays for the search.
-    if not s.isascii() or s.encode("ascii").translate(None, b"ab"):
-        bad = _INVALID_CHAR.search(s)
-        raise InputFormatError(
-            f"invalid character {bad.group()!r} at index {bad.start()}; "
-            "expected 'a' or 'b'",
-            position=bad.start(),
-        )
+    _check_letters(s, "ab")
     # Runs alternate letters, so after padding the a-runs and b-runs take
     # turns starting with an a-run.
     lengths = list(map(len, _RUN.findall(s)))

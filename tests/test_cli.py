@@ -12,7 +12,7 @@ import types
 
 import pytest
 
-from conftest import EXAMPLE, EXAMPLE_PNF_A, EXAMPLE_PNF_B
+from conftest import EXAMPLE, EXAMPLE_PNF_A, EXAMPLE_PNF_B, cix_bytes
 from cornerindex import build, cli
 from cornerindex.build import build_index
 from cornerindex.cli import main
@@ -351,6 +351,18 @@ class TestQuery:
         assert "truncated l_min payload" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["query"], ["bench", "--count", "5"]])
+def test_crossed_index(capsys, monkeypatch, tmp_path, command):
+    # a sealed v3 file whose lists cross: bmin(1) = 3 > bmax(1) = 1
+    p = tmp_path / "crossed.cix"
+    p.write_bytes(cix_bytes(3, 5, 2, 3, [(0, 0), (2, 3)], [(0, 0), (1, 1), (2, 3)], 2, 3))
+    monkeypatch.setattr(sys, "stdin", _stdin(b"1 1\n"))
+    assert main([*command, "--index", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: corner lists cross: bmin(1) = 3 > bmax(1) = 1\n"
+
+
 class TestPnf:
     def test_from_text(self, capsys, example_file):
         assert main(["pnf", "--input", example_file]) == 0
@@ -516,6 +528,13 @@ class TestBench:
         hits = sum(index.query(rng.randint(0, index.total_a),
                                rng.randint(0, index.total_b)) for _ in range(400))
         assert row["occurs"] == hits
+
+    def test_count_below_one(self, capsys, example_index):
+        for count in ["0", "-5"]:
+            assert main(["bench", "--index", example_index, "--count", count]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "bench: --count must be at least 1\n"
 
 
 def test_module_entry_point(example_file, tmp_path):

@@ -6,6 +6,7 @@ import random
 import sys
 import threading
 from array import array
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from unittest import mock
@@ -40,7 +41,7 @@ from cornerindex.build import (
     lmax_candidates,
     lmin_candidates,
 )
-from cornerindex.corner import CornerIndex, CornerList
+from cornerindex.corner import CornerIndex, CornerList, CorruptIndexError
 from cornerindex.oracle import bmin_bmax_naive, parikh_set_bruteforce, sliding_window_query
 from cornerindex.persist import deserialize, load_index, save_index, serialize
 from cornerindex.rle import MAX_TEXT_LENGTH, RunLengthEncoding, encode
@@ -685,6 +686,39 @@ def test_segment_table_is_lazy_and_invisible(tmp_path):
         assert twin == fresh and "_segments" not in vars(twin)
         assert [twin.query(x, y) for x, y in pairs] == answers
     assert answers == [reference_query(fresh, x, y) for x, y in pairs]
+
+
+def test_merge_refuses_exactly_crossed_lists():
+    # Random anchored list pairs: the merge raises, naming the smallest x
+    # with bmin(x) > bmax(x) by the reference searches, exactly when there
+    # is one, and otherwise answers as the reference does.
+    rng = random.Random(3)
+    crossed = 0
+    for _ in range(3000):
+        total_a, total_b = rng.randint(0, 8), rng.randint(0, 8)
+        k_min = rng.randint(1, min(total_a, total_b) + 1)
+        k_max = rng.randint(1, min(total_a, total_b) + 1)
+        l_min = CornerList(zip(
+            [*sorted(rng.sample(range(total_a), k_min - 1)), total_a],
+            [0, *sorted(rng.sample(range(1, total_b + 1), k_min - 1))]))
+        l_max = CornerList(zip(
+            [0, *sorted(rng.sample(range(1, total_a + 1), k_max - 1))],
+            [*sorted(rng.sample(range(total_b), k_max - 1)), total_b]))
+        idx = CornerIndex(l_min, l_max)
+        bounds = [(l_min.ys[bisect_left(l_min.xs, x)], l_max.ys[bisect_right(l_max.xs, x) - 1])
+                  for x in range(total_a + 1)]
+        first = next((x for x, (low, high) in enumerate(bounds) if low > high), None)
+        if first is None:
+            assert all(idx.query(x, y) is reference_query(idx, x, y)
+                       for x in range(-1, total_a + 2) for y in range(-1, total_b + 2))
+            continue
+        crossed += 1
+        low, high = bounds[first]
+        with pytest.raises(CorruptIndexError) as caught:
+            idx.query(0, 0)
+        assert str(caught.value) == (
+            f"corner lists cross: bmin({first}) = {low} > bmax({first}) = {high}")
+    assert 300 < crossed < 2700  # both outcomes are well exercised
 
 
 def test_concurrent_first_queries():

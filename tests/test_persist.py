@@ -129,6 +129,37 @@ class TestRoundTrip:
             assert (back.peak_min, back.peak_max) == (idx.peak_min, idx.peak_max)
 
 
+# Corner lists that are each valid and whose anchors agree, but that cross,
+# with the smallest crossing x, bmin(x) and bmax(x). In the second pair the
+# lists cross on 2..4, and bmin's later step, at x = 4, crosses too.
+CROSSED = [
+    ([(0, 0), (2, 3)], [(0, 0), (1, 1), (2, 3)], (1, 3, 1)),
+    ([(1, 0), (3, 3), (5, 6)], [(0, 1), (2, 2), (4, 4), (5, 7)], (2, 3, 2)),
+]
+
+
+@pytest.mark.parametrize("l_min, l_max, crossing", CROSSED)
+@pytest.mark.parametrize("version", (None, *VERSIONS))
+def test_crossed_lists_are_refused(version, l_min, l_max, crossing):
+    # Built directly (version None) or loaded from a file of any version,
+    # the index exists; every lookup and serialize then refuse it, at any
+    # x, naming the smallest crossing x and both bounds.
+    if version is None:
+        index = CornerIndex(CornerList(l_min), CornerList(l_max))
+    else:
+        total_a, total_b = l_min[-1][0], l_max[-1][1]
+        index = load(cix_bytes(version, total_a + total_b, total_a, total_b,
+                               l_min, l_max, len(l_min), len(l_max)))
+        assert (list(index.l_min), list(index.l_max)) == (l_min, l_max)
+    x, low, high = crossing
+    message = rf"^corner lists cross: bmin\({x}\) = {low} > bmax\({x}\) = {high}$"
+    for refused in (lambda: index.query(0, 0), lambda: index.query(x, high),
+                    lambda: index.query_many([0], [0]), lambda: index.bmin(0),
+                    lambda: index.bmax(index.total_a), lambda: serialized(index)):
+        with pytest.raises(CorruptIndexError, match=message):
+            refused()
+
+
 # Runs whose letter totals, first counts and differences fall on both sides
 # of each width's limit, with the version 2 widths (wa, wb) of the a- and
 # b-count columns and the version 3 widths of the four columns (l_min
