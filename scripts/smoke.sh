@@ -22,7 +22,7 @@ done
 # file_size of the loaded index must equal; a .cix file cut 3 bytes short
 # must exit 2 as truncated, one with a payload byte flipped must fail its
 # checksum and exit 2, and a sealed one whose corner lists cross, written by
-# the tests' reference writer, must exit 2 at its first query.
+# the tests' reference writer, must exit 2 at its first query and in pnf.
 python -m cornerindex verify --count 200 --length 48 --seed 7
 python -m cornerindex verify --count 60 --length 512 --seed 11
 python -m cornerindex verify --count 60 --length 512 --seed 11 --run-geometric 0.3
@@ -66,6 +66,11 @@ open(sys.argv[1], "wb").write(cix_bytes(3, 5, 2, 3, [(0, 0), (2, 3)], [(0, 0), (
 ' "$dir/crossed.cix"
 status=0
 echo "1 1" | python -m cornerindex query --index "$dir/crossed.cix" 2> "$dir/crossed.err" || status=$?
+cat "$dir/crossed.err"
+test "$status" -eq 2
+grep -q cross "$dir/crossed.err"
+status=0
+python -m cornerindex pnf --index "$dir/crossed.cix" 2> "$dir/crossed.err" || status=$?
 cat "$dir/crossed.err"
 test "$status" -eq 2
 grep -q cross "$dir/crossed.err"

@@ -128,11 +128,9 @@ class _Blocks:
     when that row's a-counts span more values than the row has spans. It
     turns sparse for good at the first block whose row table (see
     ``undominated``) would hold more than ``_TABLE`` cells per span, and
-    that block is formed again in the sparse shape. Blocks and the
-    prefilter's temporaries live in buffers allocated once per sweep. Spans
-    are those of ``first_runs``, with ``second`` the runs between them.
-    numpy is imported here, so only a sweep that takes the block path loads
-    it.
+    that block is formed again in the sparse shape. Spans are those of
+    ``first_runs``, with ``second`` the runs between them. numpy is imported
+    here, so only a sweep that takes the block path loads it.
     """
 
     def __init__(self, first_runs: Sequence[int], second: Sequence[int]):
@@ -152,26 +150,16 @@ class _Blocks:
         # Whether blocks read a row table (one-way switch). The first row's
         # a-counts are the first runs themselves.
         self.dense = max(first_runs) - min(first_runs) < r
-        cells = min(r * r, max(r, _DENSE_CELLS * _BLOCK))
-        self.x = np.empty(cells, dtype=np.uint64)
-        self.y = np.empty(cells, dtype=np.uint64)
-        self.t = np.empty(cells, dtype=np.uint64)
-        self.cells = np.empty(cells, dtype=np.uint64)
-        self.keep = np.empty(cells, dtype=bool)
-        self.table = np.empty(0, dtype=np.uint64)
 
     def _rows(self, k: int, g: int) -> tuple[np.ndarray, np.ndarray]:
         """x and y of rows k..k+g-1 as a (g, r - k + 1) block."""
         np, w = self.np, self.r - k + 1
-        x = self.x[: g * w].reshape(g, w)
-        y = self.y[: g * w].reshape(g, w)
         # Row d of the window (shape, dtype, buffer, offset, strides) that
         # starts at sums[j] is sums[j + d : j + d + w].
         ends = np.ndarray((g, w), np.uint64, self.p1, 8 * k, (8, 8))
-        np.subtract(ends, self.p1[:w], out=x)
+        x = ends - self.p1[:w]
         ends = np.ndarray((g, w), np.uint64, self.gaps, 8 * (k - 1), (8, 8))
-        np.subtract(ends, self.gaps[:w], out=y)
-        return x, y
+        return x, ends - self.gaps[:w]
 
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         k = 1
@@ -223,18 +211,13 @@ class _Blocks:
         g, w = x.shape
         stair_x = np.frombuffer(mx, dtype=np.uint64)
         stair_y = np.frombuffer(my, dtype=np.uint64)
-        t = self.t[: g * w].reshape(g, w)
         if self.dense:
             hi, width = self.range
-            if self.table.size < g * width:
-                self.table = np.empty(g * width, dtype=np.uint64)
-            table = self.table[: g * width].reshape(g, width)
-            values = np.arange(width, dtype=np.uint64)
-            np.subtract(hi, values, out=values)
+            table = np.empty((g, width), np.uint64)
+            values = hi - np.arange(width, dtype=np.uint64)
             stair_y.take(stair_x.searchsorted(values), out=table[0])
             # Each cell's flat position in the table: row d starts at d * width.
-            cells = self.cells[: g * w].reshape(g, w)
-            cells = np.subtract(hi, x, out=cells).view(np.intp)
+            cells = (hi - x).view(np.intp)
             if g > 1:
                 cells += np.arange(0, g * width, width)[:, None]
                 table[1:] = stair_y[-1]
@@ -243,13 +226,12 @@ class _Blocks:
                 np.minimum.at(table[1:].ravel(), cells[:-1].ravel(), y[:-1].ravel())
                 np.minimum.accumulate(table, axis=1, out=table)
                 np.minimum.accumulate(table, axis=0, out=table)
-            successor_y = table.take(cells, out=t)
+            successor_y = table.take(cells)
         else:
             for d in range(1, g):
                 y[d, w - d :] = stair_y[-1]
-            successor_y = stair_y.take(stair_x.searchsorted(x), out=t)
-        keep = np.greater(successor_y, y, out=self.keep[: g * w].reshape(g, w))
-        return keep.ravel().nonzero()[0]
+            successor_y = stair_y.take(stair_x.searchsorted(x))
+        return (successor_y > y).ravel().nonzero()[0]
 
 
 def _spans(first_runs: Sequence[int], second: Sequence[int]) -> Iterator[ParikhVector]:

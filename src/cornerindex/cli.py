@@ -239,14 +239,11 @@ def _verify_one(text: str, max_n: int) -> list[tuple[str, bool]]:
 
     index = build_index(text)
     pi = parikh_set_bruteforce(text, max_n)
-    grid_ok = True
-    for x in range(index.total_a + 2):
-        for y in range(index.total_b + 2):
-            if index.query(x, y) != ((x, y) in pi):
-                grid_ok = False
-                break
-        if not grid_ok:
-            break
+    grid_ok = all(
+        index.query(x, y) == ((x, y) in pi)
+        for x in range(index.total_a + 2)
+        for y in range(index.total_b + 2)
+    )
     checks = [("oracle-grid", grid_ok)]
     checks.append(("interval-lemma", verify_interval_lemma(text, max_n)))
     checks.append(("run-span-witnesses", lemma1_witness_check(text, max_n)))

@@ -299,8 +299,10 @@ class CornerIndex(_Record):
         pnf_b's, so both tables come from one walk over the corner runs:
         max_a rises over each a-run and stays flat over each b-run, min_a
         the other way round. The cost is O(n) in C-level list extends plus
-        O(|l_min| + |l_max|) Python steps.
+        O(|l_min| + |l_max|) Python steps. It first builds the lookup table,
+        whose merge raises CorruptIndexError if the lists cross.
         """
+        self._segments  # the lookup table, whose merge refuses crossed lists
         max_a = [0]
         for u, v in _pnf_runs(self.l_min.xs, self.l_min.ys, self.total_b):
             c = max_a[-1]

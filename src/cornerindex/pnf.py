@@ -37,7 +37,9 @@ class PnfPair(_Record):
 
 
 def pnf_from_index(index: CornerIndex) -> PnfPair:
-    """Materialize both prefix normal forms from the corner lists."""
+    """Materialize both prefix normal forms from the corner lists; raise
+    CorruptIndexError, as the index's first lookup does, if they cross."""
+    index._segments  # the lookup table, whose merge refuses crossed lists
     l_min, l_max = index.l_min, index.l_max
     pnf_a = "".join(
         "a" * u + "b" * v for u, v in _pnf_runs(l_min.xs, l_min.ys, index.total_b)

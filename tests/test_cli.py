@@ -351,7 +351,7 @@ class TestQuery:
         assert "truncated l_min payload" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", [["query"], ["bench", "--count", "5"]])
+@pytest.mark.parametrize("command", [["query"], ["bench", "--count", "5"], ["pnf"]])
 def test_crossed_index(capsys, monkeypatch, tmp_path, command):
     # a sealed v3 file whose lists cross: bmin(1) = 3 > bmax(1) = 1
     p = tmp_path / "crossed.cix"

@@ -340,6 +340,16 @@ class TestBatchedSweep:
             assert rle.pairs > build._BLOCK
         assert_matches_reference(rle)
 
+    def test_held_blocks_stay_valid(self):
+        # Each block is a fresh array: holding every block past the forming
+        # of the next still gives every span, in (k, i) order.
+        for sweep in _sweeps(_shapes()["coin"]):
+            held = [(x.tolist(), y.tolist(), x.shape)
+                    for x, y in list(build._Blocks(*sweep))]
+            cells = [(x[d][i], y[d][i]) for x, y, (g, w) in held
+                     for d in range(g) for i in range(w - d)]
+            assert cells == list(build._spans(*sweep))
+
     def test_shapes_reach_every_block_kind(self):
         kinds = set()
         for rle in _shapes().values():

@@ -26,6 +26,7 @@ from conftest import (
 from cornerindex.build import build_index, index_from_rle
 from cornerindex.cli import main
 from cornerindex.corner import CornerIndex, CornerList
+from cornerindex.pnf import pnf_from_index
 from cornerindex.rle import RunLengthEncoding
 from cornerindex.textgen import coin_string, geometric_run_string
 from cornerindex.persist import (
@@ -142,8 +143,9 @@ CROSSED = [
 @pytest.mark.parametrize("version", (None, *VERSIONS))
 def test_crossed_lists_are_refused(version, l_min, l_max, crossing):
     # Built directly (version None) or loaded from a file of any version,
-    # the index exists; every lookup and serialize then refuse it, at any
-    # x, naming the smallest crossing x and both bounds.
+    # the index exists; every lookup, serialize, length_tables and
+    # pnf_from_index then refuse it, at any x, naming the smallest crossing
+    # x and both bounds.
     if version is None:
         index = CornerIndex(CornerList(l_min), CornerList(l_max))
     else:
@@ -155,7 +157,8 @@ def test_crossed_lists_are_refused(version, l_min, l_max, crossing):
     message = rf"^corner lists cross: bmin\({x}\) = {low} > bmax\({x}\) = {high}$"
     for refused in (lambda: index.query(0, 0), lambda: index.query(x, high),
                     lambda: index.query_many([0], [0]), lambda: index.bmin(0),
-                    lambda: index.bmax(index.total_a), lambda: serialized(index)):
+                    lambda: index.bmax(index.total_a), lambda: serialized(index),
+                    lambda: index.length_tables(), lambda: pnf_from_index(index)):
         with pytest.raises(CorruptIndexError, match=message):
             refused()
 
