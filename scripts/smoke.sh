@@ -7,8 +7,9 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="$PWD/src${PYTHONPATH:+:$PYTHONPATH}"
 
 # Benchmark correctness: a failing run fails the script; coin-dense's sweeps
-# read a row table per block of many rows, runs-long's search the staircase
-# per candidate.
+# read a row table per block of many rows, runs-long's test the staircase a
+# chunk of spans at a time and search it only for the spans of the chunks
+# that the bound keeps.
 for workload in many-small coin-dense runs-long; do
   python3 bench/run.py --workload "$workload" --trace 1 | tail -n 1 |
     python3 -c 'import json, sys; sys.exit(json.loads(sys.stdin.read())["correct"] is not True)'
@@ -32,6 +33,11 @@ dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
 python3 -c 'import random; r = random.Random(7); print("".join(r.choice("ab") for _ in range(3000)))' > "$dir/smoke.txt"
 python -m cornerindex verify --input "$dir/smoke.txt"
+# 3,000 characters in runs of 1 to 60 (56 run pairs): both sweeps are sparse
+# from the first block, and two blocks of each bound the staircase a chunk
+# of spans at a time, checked here against the brute-force oracle.
+python3 -c 'import random; r = random.Random(7); print("".join("ab"[i % 2] * r.randint(1, 60) for i in range(200))[:3000])' > "$dir/runs.txt"
+python -m cornerindex verify --input "$dir/runs.txt"
 python -m cornerindex build --input "$dir/smoke.txt" --index "$dir/smoke.cix"
 python -m cornerindex bench --index "$dir/smoke.cix" --count 20000
 python -m cornerindex pnf --index "$dir/smoke.cix" > /dev/null
