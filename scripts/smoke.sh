@@ -34,8 +34,8 @@ trap 'rm -rf "$dir"' EXIT
 python3 -c 'import random; r = random.Random(7); print("".join(r.choice("ab") for _ in range(3000)))' > "$dir/smoke.txt"
 python -m cornerindex verify --input "$dir/smoke.txt"
 # 3,000 characters in runs of 1 to 60 (56 run pairs): both sweeps are sparse
-# from the first block, and two blocks of each bound the staircase a chunk
-# of spans at a time, checked here against the brute-force oracle.
+# from the first block, so every block bounds the staircase a chunk of spans
+# at a time, checked here against the brute-force oracle.
 python3 -c 'import random; r = random.Random(7); print("".join("ab"[i % 2] * r.randint(1, 60) for i in range(200))[:3000])' > "$dir/runs.txt"
 python -m cornerindex verify --input "$dir/runs.txt"
 python -m cornerindex build --input "$dir/smoke.txt" --index "$dir/smoke.cix"

@@ -10,8 +10,7 @@ r(r+1)/2 spans by length k and start i and keeps a sorted working list
 probed with bisect: a candidate costs one successor search, and the
 deletions an insertion triggers are adjacent to the insertion point.
 
-numpy forms the candidates a block at a time from uint32 prefix sums, or
-uint64 ones when the sweep's totals reach 2^32 - 1: a
+numpy forms the candidates a block at a time from uint64 prefix sums: a
 block is several consecutive rows (each of fixed k) laid out as one
 rectangle. It drops in bulk every candidate that the staircase, as it stood
 at the block's start, or a candidate of an earlier row of the block already
@@ -113,9 +112,6 @@ _DENSE_CELLS = 32
 _TABLE = 8
 # Cells per chunk of a sparse row, the unit the staircase bound drops whole.
 _CHUNK = 16
-# A sweep whose letter totals both stay below this runs in uint32, with it as
-# the "no successor" sentinel; any other runs in uint64.
-_UINT32_MAX = 0xFFFFFFFF
 
 
 class _Blocks:
@@ -139,13 +135,6 @@ class _Blocks:
     that block is formed again in the sparse shape. Spans are those of
     ``first_runs``, with ``second`` the runs between them. numpy is imported
     here, so only a sweep that takes the block path loads it.
-
-    Every array of the sweep has one unsigned ``dtype``: uint32 when the
-    sums of ``first_runs`` and of ``second`` both stay below ``_UINT32_MAX``,
-    uint64 otherwise. ``typecode`` is the ``array`` code of that item size,
-    for the staircase mirror, and ``sentinel`` the mirror's "no successor"
-    b-count, which exceeds every b-count of the sweep: ``_UINT32_MAX`` or
-    ``MAX_TEXT_LENGTH``.
     """
 
     def __init__(self, first_runs: Sequence[int], second: Sequence[int]):
@@ -153,20 +142,14 @@ class _Blocks:
 
         self.np = np
         self.r = r = len(first_runs)
-        if max(sum(first_runs), sum(second)) < _UINT32_MAX:
-            self.dtype, self.sentinel = np.dtype(np.uint32), _UINT32_MAX
-        else:
-            self.dtype, self.sentinel = np.dtype(np.uint64), MAX_TEXT_LENGTH
-        size = self.dtype.itemsize
-        self.typecode = next(c for c in "IQ" if array(c).itemsize == size)
         # Prefix sums, then copies of the last one a span uses (p1[r] and
         # gaps[r - 1]) up to 2r + 1 entries: a block's rows reach index
         # r + g - 1 of p1.
-        self.p1 = np.empty(2 * r + 1, dtype=self.dtype)
-        self.gaps = np.empty(2 * r + 1, dtype=self.dtype)
+        self.p1 = np.empty(2 * r + 1, dtype=np.uint64)
+        self.gaps = np.empty(2 * r + 1, dtype=np.uint64)
         for sums, runs in ((self.p1, first_runs), (self.gaps, second[: r - 1])):
             sums[0] = 0
-            np.cumsum(np.array(runs, dtype=self.dtype), out=sums[1 : len(runs) + 1])
+            np.cumsum(np.array(runs, dtype=np.uint64), out=sums[1 : len(runs) + 1])
             sums[len(runs) + 1 :] = sums[len(runs)]
         # Whether blocks read a row table (one-way switch). The first row's
         # a-counts are the first runs themselves.
@@ -174,12 +157,12 @@ class _Blocks:
 
     def _rows(self, k: int, g: int) -> tuple[np.ndarray, np.ndarray]:
         """x and y of rows k..k+g-1 as a (g, r - k + 1) block."""
-        np, w, size = self.np, self.r - k + 1, self.dtype.itemsize
+        np, w = self.np, self.r - k + 1
         # Row d of the window (shape, dtype, buffer, offset, strides) that
         # starts at sums[j] is sums[j + d : j + d + w].
-        ends = np.ndarray((g, w), self.dtype, self.p1, size * k, (size, size))
+        ends = np.ndarray((g, w), np.uint64, self.p1, 8 * k, (8, 8))
         x = ends - self.p1[:w]
-        ends = np.ndarray((g, w), self.dtype, self.gaps, size * (k - 1), (size, size))
+        ends = np.ndarray((g, w), np.uint64, self.gaps, 8 * (k - 1), (8, 8))
         return x, ends - self.gaps[:w]
 
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -226,26 +209,25 @@ class _Blocks:
         row, which repeat spans of earlier rows. A sparse block tests
         against the staircase alone, and first masks those cells with the
         sentinel; with long runs the ranges are many times the block length
-        from the first row on, and a table would be pure cost. Once the
-        staircase holds a pair and each row holds two ``_CHUNK``s, it cuts
-        every row into chunks of ``_CHUNK`` consecutive cells and drops each
-        chunk whose fewest b's reach the successor of its most a's; only the
-        cells of the other chunks are searched one by one. This is exact: the
+        from the first row on, and a table would be pure cost. It cuts every
+        row into chunks of ``_CHUNK`` consecutive cells and drops each chunk
+        whose fewest b's reach the successor of its most a's; only the cells
+        of the other chunks are searched one by one. This is exact: the
         successor b-count never falls as the a-count grows, so every cell of
         a dropped chunk has at least its own successor's b-count, and the
         per-cell test would reject it too.
         """
         np = self.np
         g, w = x.shape
-        stair_x = np.frombuffer(mx, dtype=self.dtype)
-        stair_y = np.frombuffer(my, dtype=self.dtype)
+        stair_x = np.frombuffer(mx, dtype=np.uint64)
+        stair_y = np.frombuffer(my, dtype=np.uint64)
         if self.dense:
             hi, width = self.range
-            table = np.empty((g, width), self.dtype)
-            values = hi - np.arange(width, dtype=self.dtype)
+            table = np.empty((g, width), np.uint64)
+            values = hi - np.arange(width, dtype=np.uint64)
             stair_y.take(stair_x.searchsorted(values), out=table[0])
             # Each cell's flat position in the table: row d starts at d * width.
-            cells = (hi - x).astype(np.intp)
+            cells = (hi - x).view(np.intp)
             if g > 1:
                 cells += np.arange(0, g * width, width)[:, None]
                 table[1:] = stair_y[-1]
@@ -254,20 +236,16 @@ class _Blocks:
                 np.minimum.at(table[1:].ravel(), cells[:-1].ravel(), y[:-1].ravel())
                 np.minimum.accumulate(table, axis=1, out=table)
                 np.minimum.accumulate(table, axis=0, out=table)
-            successor_y = table.take(cells)
-        else:
-            for d in range(1, g):
-                y[d, w - d :] = stair_y[-1]
-            if len(stair_x) and w >= 2 * _CHUNK:
-                starts = np.arange(0, w, _CHUNK)
-                most = np.maximum.reduceat(x, starts, axis=1)
-                fewest = np.minimum.reduceat(y, starts, axis=1)
-                live = stair_y.take(stair_x.searchsorted(most)) > fewest
-                cells = np.repeat(live, _CHUNK, axis=1)[:, :w].ravel().nonzero()[0]
-                x, y = x.take(cells), y.take(cells)
-                return cells[stair_y.take(stair_x.searchsorted(x)) > y]
-            successor_y = stair_y.take(stair_x.searchsorted(x))
-        return (successor_y > y).ravel().nonzero()[0]
+            return (table.take(cells) > y).ravel().nonzero()[0]
+        for d in range(1, g):
+            y[d, w - d :] = stair_y[-1]
+        starts = np.arange(0, w, _CHUNK)
+        most = np.maximum.reduceat(x, starts, axis=1)
+        fewest = np.minimum.reduceat(y, starts, axis=1)
+        live = stair_y.take(stair_x.searchsorted(most)) > fewest
+        cells = np.repeat(live, _CHUNK, axis=1)[:, :w].ravel().nonzero()[0]
+        x, y = x.take(cells), y.take(cells)
+        return cells[stair_y.take(stair_x.searchsorted(x)) > y]
 
 
 def _spans(first_runs: Sequence[int], second: Sequence[int]) -> Iterator[ParikhVector]:
@@ -370,20 +348,20 @@ def _sweep(
         peak = _feed(xs, ys, _spans(first_runs, second), trace)[0]
     else:
         blocks = _Blocks(first_runs, second)
-        # Copy of the staircase for the prefilter, at the blocks' width and
-        # synced after each block. my ends with the blocks' sentinel, which
-        # stands for "no successor": it exceeds every b-count of the sweep.
-        code = blocks.typecode
-        mx = array(code)
-        my = array(code, [blocks.sentinel])
+        # uint64 copy of the staircase for the prefilter, synced after each
+        # block. my ends with a sentinel that stands for "no successor": it
+        # exceeds every b-count of a candidate with x > 0, since the letter
+        # totals sum to at most MAX_TEXT_LENGTH.
+        mx = array("Q")
+        my = array("Q", [MAX_TEXT_LENGTH])
         peak = 0
         for bx, by in blocks:
             keep = blocks.undominated(bx, by, mx, my)
             survivors = zip(bx.take(keep).tolist(), by.take(keep).tolist())
             block_peak, lo = _feed(xs, ys, survivors)
             peak = max(peak, block_peak)
-            mx[lo:] = array(code, xs[lo:])
-            my[lo:-1] = array(code, ys[lo:])
+            mx[lo:] = array("Q", xs[lo:])
+            my[lo:-1] = array("Q", ys[lo:])
     if not xs:
         xs, ys = [0], [0]
     if not drop_last:

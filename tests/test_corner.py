@@ -44,7 +44,7 @@ from cornerindex.build import (
 from cornerindex.corner import CornerIndex, CornerList, CorruptIndexError
 from cornerindex.oracle import bmin_bmax_naive, parikh_set_bruteforce, sliding_window_query
 from cornerindex.persist import deserialize, load_index, save_index, serialize
-from cornerindex.rle import RunLengthEncoding, encode
+from cornerindex.rle import MAX_TEXT_LENGTH, RunLengthEncoding, encode
 from cornerindex.textgen import coin_string, geometric_run_string
 
 binary_strings = st.text(alphabet="ab", max_size=80)
@@ -224,21 +224,6 @@ def _block_modes(first_runs, second):
     return [(blocks.dense, *x.shape) for x, _ in blocks]
 
 
-def _sweep_widths(rle):
-    """The dtype name each sweep of index_from_rle(rle) runs its blocks in."""
-    widths = []
-    blocks_type = build._Blocks
-
-    def spy(*args):
-        blocks = blocks_type(*args)
-        widths.append(blocks.dtype.name)
-        return blocks
-
-    with mock.patch.object(build, "_Blocks", spy):
-        index_from_rle(rle)
-    return widths
-
-
 def _block_kinds(first_runs, second):
     """The kinds of block the block path forms over these runs."""
     modes = _block_modes(first_runs, second)
@@ -252,8 +237,8 @@ def _block_kinds(first_runs, second):
     if modes[0][0] and not modes[-1][0]:
         kinds.add("switch")
     # a sparse block after the first (so the staircase holds a pair) whose
-    # rows hold two chunks: undominated bounds it a chunk at a time
-    if any(not dense and w >= 2 * build._CHUNK for dense, _, w in modes[1:]):
+    # rows span several chunks, which undominated bounds one at a time
+    if any(not dense and w > build._CHUNK for dense, _, w in modes[1:]):
         kinds.add("chunked")
     return kinds
 
@@ -285,7 +270,6 @@ def _prefiltered(first_runs, second):
     positions undominated keeps and whether it read the row table; and
     every survivor, in order."""
     blocks = build._Blocks(first_runs, second)
-    code = blocks.typecode
     xs, ys = [], []
     log, survivors = [], []
     for bx, by in blocks:
@@ -294,7 +278,7 @@ def _prefiltered(first_runs, second):
                  for d in range(g) for i in range(w - d)]
         stair = list(zip(xs, ys))
         keep = blocks.undominated(
-            bx, by, array(code, xs), array(code, [*ys, blocks.sentinel])
+            bx, by, array("Q", xs), array("Q", [*ys, MAX_TEXT_LENGTH])
         ).tolist()
         log.append((stair, spans, keep, blocks.dense))
         kept = [(int(bx.flat[p]), int(by.flat[p])) for p in keep]
@@ -340,7 +324,7 @@ def _run_list_run(rng):
 # a-counts span more values than the sweep has run pairs starts it sparse;
 # long a-runs of two lengths start the l_min sweep dense and turn it sparse
 # once its blocks gather several rows; with more run pairs than two chunks,
-# sparse rows after the first are bounded a chunk at a time.
+# sparse rows after the first span several chunks.
 _PREFILTER_MODES = {
     "dense": (2, (8, 30), _narrow_run, _narrow_run),
     "sparse": (8, (3, 20), _wide_run, _wide_run),
@@ -450,62 +434,15 @@ class TestBatchedSweep:
             assert back == index
             assert (back.peak_min, back.peak_max) == (index.peak_min, index.peak_max)
 
-    @pytest.mark.parametrize("total_a, total_b, width", [
-        ((1 << 32) - 2, (1 << 32) - 2, "uint32"),
-        ((1 << 32) - 1, 1000, "uint64"),
-        (1000, (1 << 32) - 1, "uint64"),
-    ])
-    @pytest.mark.parametrize("spread, kind", [
-        ("one long run", "chunked"), ("near-equal runs", "switch"),
-    ])
-    def test_width_follows_the_totals(self, total_a, total_b, width, spread, kind):
-        # Each sweep runs in uint32 while both of its totals stay below
-        # 2^32 - 1, the 32-bit sentinel, and in uint64 from there. A leading
-        # zero a-run gives both sweeps the letter totals themselves. At block
-        # size 1, one long run makes every row after the first a chunked
-        # sparse block, and near-equal b-runs start l_max in one-row dense
-        # blocks.
-        r = 40
-
-        def runs(total, lead):
-            if spread == "near-equal runs":
-                q, extra = divmod(total, r - lead)
-                return (0,) * lead + (q + 1,) * extra + (q,) * (r - lead - extra)
-            rest = [1 + i % 3 for i in range(r - lead - 1)]
-            return (0,) * lead + (total - sum(rest),) + tuple(rest)
-
-        rle = RunLengthEncoding(runs(total_a, 1), runs(total_b, 0))
-        with mock.patch.object(build, "_BLOCK", 1):
-            assert _sweep_widths(rle) == [width, width]
-            assert kind in _block_kinds(*_sweeps(rle)[1])
-            assert_matches_reference(rle)
-
-    def test_64_bit_width_gives_the_same_index(self):
-        # Every shape, its sweeps forced to uint64: the same lists, peaks
-        # and .cix bytes as at the default width, which is uint32 here.
-        for rle in _shapes().values():
-            assert _sweep_widths(rle) == ["uint32", "uint32"]
-            narrow = index_from_rle(rle)
-            with mock.patch.object(build, "_UINT32_MAX", 0):
-                assert _sweep_widths(rle) == ["uint64", "uint64"]
-                wide = index_from_rle(rle)
-            assert wide == narrow
-            assert (wide.peak_min, wide.peak_max) == (narrow.peak_min, narrow.peak_max)
-            files = [io.BytesIO(), io.BytesIO()]
-            serialize(narrow, files[0])
-            serialize(wide, files[1])
-            assert files[0].getvalue() == files[1].getvalue()
-
     def test_compressed_scale(self):
         # A text of 10^12 characters given as 600 random runs: both sweeps
-        # take uint64 and bound their sparse rows a chunk at a time.
+        # bound their sparse rows a chunk at a time.
         rng = random.Random(600)
         n = 10 ** 12
         cuts = sorted(rng.sample(range(1, n), 599))
         runs = [end - start for start, end in zip([0, *cuts], [*cuts, n])]
         rle = RunLengthEncoding(tuple(runs[0::2]), tuple(runs[1::2]))
         assert rle.total_a + rle.total_b == n
-        assert _sweep_widths(rle) == ["uint64", "uint64"]
         for sweep in _sweeps(rle):
             assert "chunked" in _block_kinds(*sweep)
         assert_matches_reference(rle)

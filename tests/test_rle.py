@@ -145,8 +145,8 @@ def test_encode_equals_validated_encoding(s):
 
 @pytest.mark.parametrize("a_runs, b_runs", HUGE_RUNS)
 def test_huge_runs_build_exactly(a_runs, b_runs):
-    # totals this large take the numpy sweep's uint64 width (block size 1
-    # sends these few runs through it); sums near the limit must not wrap
+    # the numpy sweep works in uint64 (block size 1 sends these few runs
+    # through it); sums near the limit must not wrap
     for block in (1, build._BLOCK):
         with mock.patch.object(build, "_BLOCK", block):
             assert_matches_reference(RunLengthEncoding(a_runs, b_runs))
