@@ -20,10 +20,13 @@ done
 # fair-coin and with geometric runs; experiment draws its corpus as verify
 # does; pnf, query and build import their modules on demand, and a jsonl
 # build writes the same file and reports its size as `bytes`, which
-# file_size of the loaded index must equal; a .cix file cut 3 bytes short
-# must exit 2 as truncated, one with a payload byte flipped must fail its
-# checksum and exit 2, and a sealed one whose corner lists cross, written by
-# the tests' reference writer, must exit 2 at its first query and in pnf.
+# file_size of the loaded index must equal; the format version 3 file of the
+# same index, written by the tests' reference writer, must give query and pnf
+# output byte-identical to the version 4 file's, since the writer no longer
+# makes version 3 files; a .cix file cut 3 bytes short must exit 2 as
+# truncated, one with a payload byte flipped must fail its checksum and exit
+# 2, and a sealed one whose corner lists cross, written by the reference
+# writer, must exit 2 at its first query and in pnf.
 python -m cornerindex verify --count 200 --length 48 --seed 7
 python -m cornerindex verify --count 60 --length 512 --seed 11
 python -m cornerindex verify --count 60 --length 512 --seed 11 --run-geometric 0.3
@@ -52,6 +55,20 @@ reported = json.loads(open(sys.argv[2]).read())["bytes"]
 if not size == file_size(load_index(sys.argv[1])) == reported:
     sys.exit(f"smoke.cix holds {size} bytes; build reported {reported}")
 ' "$dir/smoke.cix" "$dir/build.jsonl"
+python3 -c '
+import sys
+sys.path.insert(0, "tests")
+from conftest import index_bytes
+from cornerindex.persist import load_index
+open(sys.argv[2], "wb").write(index_bytes(load_index(sys.argv[1]), 3))
+' "$dir/smoke.cix" "$dir/v3.cix"
+printf '1 1\n1500 1500\n40 2\n2 40\n' > "$dir/queries.txt"
+for name in smoke v3; do
+  python -m cornerindex query --index "$dir/$name.cix" --input "$dir/queries.txt" --format jsonl > "$dir/$name.query"
+  python -m cornerindex pnf --index "$dir/$name.cix" > "$dir/$name.pnf"
+done
+cmp "$dir/smoke.query" "$dir/v3.query"
+cmp "$dir/smoke.pnf" "$dir/v3.pnf"
 python3 -c 'import sys; raw = open(sys.argv[1], "rb").read(); open(sys.argv[2], "wb").write(raw[:-3])' "$dir/smoke.cix" "$dir/short.cix"
 status=0
 echo "1 1" | python -m cornerindex query --index "$dir/short.cix" 2> "$dir/short.err" || status=$?
@@ -68,7 +85,7 @@ python3 -c '
 import sys
 sys.path.insert(0, "tests")
 from conftest import cix_bytes
-open(sys.argv[1], "wb").write(cix_bytes(3, 5, 2, 3, [(0, 0), (2, 3)], [(0, 0), (1, 1), (2, 3)], 2, 3))
+open(sys.argv[1], "wb").write(cix_bytes(4, 7, 3, 4, [(1, 0), (2, 3), (3, 4)], [(0, 2), (3, 4)], 3, 2))
 ' "$dir/crossed.cix"
 status=0
 echo "1 1" | python -m cornerindex query --index "$dir/crossed.cix" 2> "$dir/crossed.err" || status=$?

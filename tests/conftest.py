@@ -135,22 +135,45 @@ def _fit(value):
     return next(w for w in (1, 2, 4, 8) if value < 256 ** w)
 
 
+def _counts(raw):
+    """The entry counts k_min and k_max that raw's header stores: in version
+    4, the first two header fields, each as wide as the byte at 12 says."""
+    if _version(raw) == 4:
+        wh = raw[12]
+        return tuple(int.from_bytes(raw[17 + wh * i:17 + wh * (i + 1)], "little")
+                     for i in (0, 1))
+    return struct.unpack_from("<2Q", raw, 36)
+
+
+def v4_field(raw, i):
+    """Offset and struct format of header field i of the version 4 file
+    raw: k_min, k_max, peak_min and peak_max for i = 0 to 3."""
+    wh = raw[12]
+    return 17 + wh * i, "<" + _CODES[wh]
+
+
 def _layout(raw):
-    """The widths of the four columns of a version 2 or 3 file (l_min
+    """The widths of the four columns of a version 2, 3 or 4 file (l_min
     a-counts, l_min b-counts, l_max a-counts, l_max b-counts), the offset of
     the first, and the size of its header and payload, all read off its
     header: version 2 sizes each column by its letter total, version 3
-    stores the widths in the four bytes after the 68-byte header."""
-    version, total_a, total_b, k_min, k_max = struct.unpack_from("<I8x4Q", raw, 8)
-    if version == 3:
+    stores the widths in the four bytes after the 68-byte header, version 4
+    in the four bytes after its header field width, and its four header
+    fields follow at that width."""
+    version = _version(raw)
+    k_min, k_max = _counts(raw)
+    if version == 4:
+        widths, start = tuple(raw[13:17]), 17 + 4 * raw[12]
+    elif version == 3:
         widths, start = tuple(raw[68:72]), 72
     else:
+        total_a, total_b = struct.unpack_from("<2Q", raw, 20)
         widths, start = (_fit(total_a), _fit(total_b)) * 2, 68
     return widths, start, start + (widths[0] + widths[1]) * k_min + (widths[2] + widths[3]) * k_max
 
 
 def cix_bytes(version, n, total_a, total_b, l_min, l_max, peak_min, peak_max):
-    """Reference .cix writer for the three format versions: the bytes of a
+    """Reference .cix writer for the four format versions: the bytes of a
     file with these header fields and these lists of (a_count, b_count)
     pairs, laid out as ``version`` says, whether or not the fields are
     consistent.
@@ -160,21 +183,34 @@ def cix_bytes(version, n, total_a, total_b, l_min, l_max, peak_min, peak_max):
     of everything before it. Version 3 stores each column as its first count
     and then the difference from each count to the next, as wide as the
     largest of those needs, the four widths as bytes after the header, and
-    the CRC32; each list must increase."""
-    header = struct.pack(
-        "<8sI7Q", b"CORNERIX", version, n, total_a, total_b,
-        len(l_min), len(l_max), peak_min, peak_max,
-    )
+    the CRC32; each list must increase. Version 4 stores no n, total_a or
+    total_b: after the version come the width of its header fields, the
+    four column widths, then k_min, k_max and both peaks at that width, and
+    the columns and CRC32 as in version 3."""
     if version == 1:
         flat = [v for lst in (l_min, l_max) for point in lst for v in point]
-        return header + struct.pack(f"<{len(flat)}Q", *flat)
+        return struct.pack(
+            f"<8sI7Q{len(flat)}Q", b"CORNERIX", 1, n, total_a, total_b,
+            len(l_min), len(l_max), peak_min, peak_max, *flat,
+        )
     columns = [[point[coord] for point in lst] for lst in (l_min, l_max) for coord in (0, 1)]
-    if version == 3:
+    if version == 2:
+        widths = (_fit(total_a), _fit(total_b)) * 2
+    else:
         columns = [[b - a for a, b in zip([0, *col], col)] for col in columns]
         widths = [_fit(max(col, default=0)) for col in columns]
-        header += bytes(widths)
+    if version == 4:
+        fields = (len(l_min), len(l_max), peak_min, peak_max)
+        wh = _fit(max(fields))
+        header = struct.pack("<8sI5B", b"CORNERIX", 4, wh, *widths) + struct.pack(
+            f"<4{_CODES[wh]}", *fields)
     else:
-        widths = _layout(header)[0]
+        header = struct.pack(
+            "<8sI7Q", b"CORNERIX", version, n, total_a, total_b,
+            len(l_min), len(l_max), peak_min, peak_max,
+        )
+        if version == 3:
+            header += bytes(widths)
     body = header + b"".join(
         struct.pack(f"<{len(col)}{_CODES[width]}", *col)
         for col, width in zip(columns, widths)
@@ -185,7 +221,8 @@ def cix_bytes(version, n, total_a, total_b, l_min, l_max, peak_min, peak_max):
 def index_bytes(index, version):
     """The index written by ``cix_bytes`` in the given format version;
     version 1 gives the bytes ``persist.serialize`` wrote before format
-    version 2, version 2 those it wrote before version 3."""
+    version 2, version 2 those it wrote before version 3, version 3 those it
+    wrote before version 4."""
     return cix_bytes(
         version, index.n, index.total_a, index.total_b, list(index.l_min),
         list(index.l_max), index.peak_min, index.peak_max,
@@ -200,9 +237,9 @@ def cix_field(raw, name, i, coord):
     """Offset and struct format of one stored value in the .cix bytes raw:
     coordinate ``coord`` (0 for the a-count, 1 for the b-count) of entry
     ``i`` of list ``name``, laid out as the file's own header says. The
-    value is that count in versions 1 and 2, and in version 3 the
+    value is that count in versions 1 and 2, and in versions 3 and 4 the
     difference from the entry before (the count itself for entry 0)."""
-    k_min, k_max = struct.unpack_from("<2Q", raw, 36)
+    k_min, k_max = _counts(raw)
     after = name == "l_max"
     if _version(raw) == 1:
         return 68 + 16 * (k_min * after + i) + 8 * coord, "<Q"
@@ -220,23 +257,23 @@ def stored(raw, name, i, coord):
 
 def count_at(raw, name, i, coord):
     """The count that raw stores as coordinate ``coord`` of entry ``i`` of
-    list ``name``: in version 3, the sum of its column up to entry i."""
-    if _version(raw) == 3:
+    list ``name``: in versions 3 and 4, the sum of its column up to entry i."""
+    if _version(raw) in (3, 4):
         return sum(stored(raw, name, j, coord) for j in range(i + 1))
     return stored(raw, name, i, coord)
 
 
 def set_count(raw, name, i, coord, value):
     """Make value the count ``count_at`` reads in raw, a bytearray, and
-    leave every other count as it was: in version 3, by moving the
+    leave every other count as it was: in versions 3 and 4, by moving the
     difference before the entry and the one after it. Raises struct.error
     when a stored value would not fit its column. Returns raw."""
-    if _version(raw) != 3:
+    if _version(raw) not in (3, 4):
         offset, fmt = cix_field(raw, name, i, coord)
         struct.pack_into(fmt, raw, offset, value)
         return raw
     shift = value - count_at(raw, name, i, coord)
-    count = struct.unpack_from("<Q", raw, 44 if name == "l_max" else 36)[0]
+    count = _counts(raw)[name == "l_max"]
     for j, move in ((i, shift), (i + 1, -shift)):
         if j < count:
             offset, fmt = cix_field(raw, name, j, coord)
@@ -247,7 +284,7 @@ def set_count(raw, name, i, coord, value):
 def decoded_lists(raw):
     """The (a_count, b_count) lists l_min and l_max that a complete file
     raw of any version stores, each count read on its own."""
-    counts = struct.unpack_from("<2Q", raw, 36)
+    counts = _counts(raw)
     return [
         [tuple(count_at(raw, name, i, coord) for coord in (0, 1)) for i in range(k)]
         for name, k in zip(("l_min", "l_max"), counts)
@@ -256,11 +293,16 @@ def decoded_lists(raw):
 
 def seal(raw):
     """raw's header and the payload it declares (as much of it as raw
-    holds), closed as a writer closes them: a version 2 or 3 file gets a
-    freshly computed CRC32; a file of another version is returned as it is."""
-    if _version(raw) not in (2, 3):
+    holds), closed as a writer closes them: a version 2, 3 or 4 file gets a
+    freshly computed CRC32; a file of another version, or one that ends
+    before the header fields its layout needs, is returned as it is."""
+    if _version(raw) not in (2, 3, 4):
         return bytes(raw)
-    body = bytes(raw[:_layout(raw)[2]])
+    try:
+        end = _layout(raw)[2]
+    except (IndexError, struct.error):
+        return bytes(raw)
+    body = bytes(raw[:end])
     return body + struct.pack("<I", zlib.crc32(body))
 
 

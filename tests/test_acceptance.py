@@ -282,13 +282,14 @@ def test_criterion_09_scaling():
 
 @criterion(10, "persistence round trip", budget_s=60.0)
 def test_criterion_10_persistence():
-    # Each index round-trips through serialize, and the version 1 and 2
+    # Each index round-trips through serialize, and the version 1 to 3
     # files that earlier writers made of it still load, peaks included.
     failures = 0
     for idx in random_indexes():
         buf = io.BytesIO()
         serialize(idx, buf)
-        for raw in (buf.getvalue(), index_bytes(idx, 1), index_bytes(idx, 2)):
+        for raw in (buf.getvalue(), index_bytes(idx, 1), index_bytes(idx, 2),
+                    index_bytes(idx, 3)):
             back = deserialize(io.BytesIO(raw))
             if back != idx or (back.peak_min, back.peak_max) != (
                 idx.peak_min, idx.peak_max
@@ -297,16 +298,19 @@ def test_criterion_10_persistence():
     assert failures == 0
 
     # Each damaged file gets its named error, in every format version. A
-    # version 2 or 3 file is resealed after each edit, so that the named
+    # version 2 to 4 file is resealed after each edit, so that the named
     # check fires and not the checksum; the same edit left unsealed fails
-    # the checksum.
+    # the checksum. Version 4 stores no n or letter totals, so the checks
+    # against them are made in versions 1 to 3 only; its example header is
+    # 21 bytes, with one-byte fields.
     example = build_index(EXAMPLE)
     buf = io.BytesIO()
     serialize(example, buf)
-    files = ((1, index_bytes(example, 1)), (2, index_bytes(example, 2)), (3, buf.getvalue()))
+    files = ((1, index_bytes(example, 1)), (2, index_bytes(example, 2)),
+             (3, index_bytes(example, 3)), (4, buf.getvalue()))
     for version, good in files:
         close = bytes if version == 1 else seal
-        head = 72 if version == 3 else 68
+        head = {3: 72, 4: 21}.get(version, 68)
 
         def header(offset: int, value: int, width: str = "<Q") -> bytes:
             raw = bytearray(good)
@@ -318,24 +322,27 @@ def test_criterion_10_persistence():
 
         cases = [
             (b"WRONGMAG" + good[8:], IndexFormatError, "bad magic"),
-            (good[:30], CorruptIndexError, "truncated header"),
+            (good[:min(30, head - 1)], CorruptIndexError, "truncated header"),
             (header(8, 99, "<I"), IndexFormatError, "unsupported format version 99"),
-            (header(20, 5), CorruptIndexError, "letter totals do not sum"),
-            (header(36, 11), CorruptIndexError, "l_min claims 11 entries"),
-            (header(44, 11), CorruptIndexError, "l_max claims 11 entries"),
             (good[:head + 2], CorruptIndexError, "truncated l_min payload"),
             (good[:-8], CorruptIndexError, "truncated l_max payload"),
-            (header(36, 0), CorruptIndexError, "l_min is empty"),
-            # in version 3, a zero difference after the first value
+            # in versions 3 and 4, a zero difference after the first value
             (entry("l_min", 1, 0, 3), CorruptIndexError, "not strictly increasing"),
             (entry("l_max", 2, 1, 5), CorruptIndexError, "not strictly increasing"),
-            (entry("l_min", 3, 0, 8), CorruptIndexError, "does not end at the total a-count"),
             (entry("l_min", 0, 1, 1), CorruptIndexError, "does not start at b-count zero"),
             (entry("l_min", 3, 1, 11), CorruptIndexError, "b-count exceeds the total"),
             (entry("l_max", 0, 0, 1), CorruptIndexError, "does not start at a-count zero"),
-            (entry("l_max", 4, 1, 10), CorruptIndexError, "does not end at the total b-count"),
             (entry("l_max", 4, 0, 10), CorruptIndexError, "a-count exceeds the total"),
         ]
+        if version < 4:
+            cases += [
+                (header(20, 5), CorruptIndexError, "letter totals do not sum"),
+                (header(36, 11), CorruptIndexError, "l_min claims 11 entries"),
+                (header(44, 11), CorruptIndexError, "l_max claims 11 entries"),
+                (header(36, 0), CorruptIndexError, "l_min is empty"),
+                (entry("l_min", 3, 0, 8), CorruptIndexError, "does not end at the total a-count"),
+                (entry("l_max", 4, 1, 10), CorruptIndexError, "does not end at the total b-count"),
+            ]
         if version < 3:  # a version 3 difference cannot be negative
             cases.append(
                 (entry("l_min", 0, 0, 6), CorruptIndexError, "not strictly increasing"))
@@ -349,6 +356,14 @@ def test_criterion_10_persistence():
             cases += [
                 (good[:70], CorruptIndexError, "truncated header"),
                 (header(69, 3, "<B"), CorruptIndexError, "unknown column width 3"),
+            ]
+        if version == 4:
+            cases += [
+                (good[:14], CorruptIndexError, "truncated header"),
+                (header(12, 3, "<B"), CorruptIndexError, "unknown header field width 3"),
+                (header(14, 3, "<B"), CorruptIndexError,
+                 "unknown l_min b-count column width 3"),
+                (header(17, 0, "<B"), CorruptIndexError, "l_min is empty"),
             ]
         for raw, exc_type, needle in cases:
             try:

@@ -116,10 +116,10 @@ class TestBuild:
         assert code == 0
         out = capsys.readouterr().out
         for part in ["n=18", "rho=10", "lmin=4", "lmax=5",
-                     "peak_min=4", "peak_max=5", "bytes=94", "elapsed_s="]:
+                     "peak_min=4", "peak_max=5", "bytes=43", "elapsed_s="]:
             assert part in out
         assert load_index(out_path) == build_index(EXAMPLE)
-        assert os.path.getsize(out_path) == 94
+        assert os.path.getsize(out_path) == 43
 
     def test_tsv(self, capsys, example_file, tmp_path):
         main(["build", "--input", example_file, "--format", "tsv",
@@ -127,7 +127,7 @@ class TestBuild:
         header, values, *_ = capsys.readouterr().out.splitlines()
         assert header.split("\t") == ["n", "rho", "lmin", "lmax", "peak_min",
                                       "peak_max", "bytes", "elapsed_s"]
-        assert values.split("\t")[:7] == ["18", "10", "4", "5", "4", "5", "94"]
+        assert values.split("\t")[:7] == ["18", "10", "4", "5", "4", "5", "43"]
 
     def test_jsonl_bytes(self, capsys, example_file, tmp_path):
         main(["build", "--input", example_file, "--format", "jsonl",
@@ -135,7 +135,7 @@ class TestBuild:
         out = capsys.readouterr().out
         head, elapsed = out.split(', "elapsed_s": ')
         assert head == ('{"n": 18, "rho": 10, "lmin": 4, "lmax": 5, '
-                        '"peak_min": 4, "peak_max": 5, "bytes": 94')
+                        '"peak_min": 4, "peak_max": 5, "bytes": 43')
         assert re.fullmatch(r'"\d+\.\d{3}"}\n', elapsed)
 
     def test_stdin(self, capsys, monkeypatch, tmp_path):
@@ -338,14 +338,12 @@ class TestQuery:
         assert "bad magic" in capsys.readouterr().err
 
     def test_huge_entry_count(self, capsys, monkeypatch, example_index):
-        # header claims 2^58 l_min entries, which totals of 2^58 letters
-        # each allow; only the 72-byte header, width bytes included, exists
+        # a header with 8-byte fields claims 2^58 l_min entries; only the
+        # 49-byte header, width bytes included, exists
         with open(example_index, "r+b") as fh:
             fh.seek(12)
-            fh.write(struct.pack("<3Q", 1 << 59, 1 << 58, 1 << 58))
-            fh.seek(36)
-            fh.write(struct.pack("<Q", 1 << 58))
-            fh.truncate(72)
+            fh.write(bytes([8, 1, 1, 1, 1]) + struct.pack("<4Q", 1 << 58, 5, 4, 5))
+            fh.truncate(49)
         monkeypatch.setattr(sys, "stdin", _stdin(b"1 1\n"))
         assert main(["query", "--index", example_index]) == 2
         assert "truncated l_min payload" in capsys.readouterr().err
@@ -353,14 +351,14 @@ class TestQuery:
 
 @pytest.mark.parametrize("command", [["query"], ["bench", "--count", "5"], ["pnf"]])
 def test_crossed_index(capsys, monkeypatch, tmp_path, command):
-    # a sealed v3 file whose lists cross: bmin(1) = 3 > bmax(1) = 1
+    # a sealed file whose lists cross: bmin(2) = 3 > bmax(2) = 2
     p = tmp_path / "crossed.cix"
-    p.write_bytes(cix_bytes(3, 5, 2, 3, [(0, 0), (2, 3)], [(0, 0), (1, 1), (2, 3)], 2, 3))
+    p.write_bytes(cix_bytes(4, 7, 3, 4, [(1, 0), (2, 3), (3, 4)], [(0, 2), (3, 4)], 3, 2))
     monkeypatch.setattr(sys, "stdin", _stdin(b"1 1\n"))
     assert main([*command, "--index", str(p)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: corner lists cross: bmin(1) = 3 > bmax(1) = 1\n"
+    assert err == "error: corner lists cross: bmin(2) = 3 > bmax(2) = 2\n"
 
 
 class TestPnf:

@@ -403,32 +403,35 @@ class TestBatchedSweep:
         assert {"dense": "dense rows", "sparse": "masked cells",
                 "switch": "switch", "chunked": "chunked"}[mode] in reached
 
-    @pytest.mark.parametrize("rle, v1_digest, v2_digest, v3_digest", [
+    @pytest.mark.parametrize("rle, v1_digest, v2_digest, v3_digest, v4_digest", [
         # every block of both sweeps reads a row table
         (encode(coin_string(random.Random(2025), 3000)),
          "c687789f826ad98254cecf51d0b05550bc8437c41498934d1797f7a11d4b61d4",
          "587ccdc123a6723b394f6ed6acde003b8350ef90b50758db986f9dac03cf7666",
-         "44b7d7c67b362275c2aebce4d04cc3debe825cbd6f1c4f5fcbf446991c93f490"),
+         "44b7d7c67b362275c2aebce4d04cc3debe825cbd6f1c4f5fcbf446991c93f490",
+         "8d9ef0d045e9fd7481c6aadfff6a974c9fb381ad43b45b57412ff071b3a3e740"),
         # l_max reads row tables, l_min searches per candidate from its first block
         (_shapes()["dominant"],
          "1967186e72d362248acba312f2c53ab7089b5e74335444cee82f41f8d075c020",
          "c63516828e84e27bf3960a42bbaf31888e49721b1e5603308ce59c5f32c53cfc",
-         "4ae2cfda762f7c38b37cada3165405233208fe6ebcf4a93622f556854a933076"),
+         "4ae2cfda762f7c38b37cada3165405233208fe6ebcf4a93622f556854a933076",
+         "666cbe1d448d3cb30cf17ce68ec5ba3db262a0e9ffbadee389ddc5af074c6abd"),
         # the worked example, sequential sweep
         (encode(EXAMPLE),
          "7c9df65fa3086086686c69b6f78f305449f71a6825d155afd1f07a57b009513a",
          "d61fc75c759daca80980e71469100d3d533fd74c5127612bb76a04469a303423",
-         "c6c62b5f2ca6ce4db50241500ae399e0f3bd5e8a93b65001e15dcc41e245501c"),
+         "c6c62b5f2ca6ce4db50241500ae399e0f3bd5e8a93b65001e15dcc41e245501c",
+         "8a83f9d6694c478c724c19b5f4d9c66e8a58dc0c20d3ffd929ab50364536c0b5"),
     ], ids=["coin", "dominant", "example"])
-    def test_golden_bytes(self, rle, v1_digest, v2_digest, v3_digest):
-        # .cix bytes pin both lists and both peaks in full: versions 1 and 2
-        # through the reference writer, version 3 as serialize writes it;
-        # the files of all three versions load back to the index and peaks
+    def test_golden_bytes(self, rle, v1_digest, v2_digest, v3_digest, v4_digest):
+        # .cix bytes pin both lists and both peaks in full: versions 1 to 3
+        # through the reference writer, version 4 as serialize writes it;
+        # the files of all four versions load back to the index and peaks
         index = build.index_from_rle(rle)
         sink = io.BytesIO()
         serialize(index, sink)
-        files = (index_bytes(index, 1), index_bytes(index, 2), sink.getvalue())
-        for raw, digest in zip(files, (v1_digest, v2_digest, v3_digest)):
+        files = (*(index_bytes(index, v) for v in (1, 2, 3)), sink.getvalue())
+        for raw, digest in zip(files, (v1_digest, v2_digest, v3_digest, v4_digest)):
             assert hashlib.sha256(raw).hexdigest() == digest
             back = deserialize(io.BytesIO(raw))
             assert back == index

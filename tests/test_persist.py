@@ -4,6 +4,7 @@ import operator
 import os
 import random
 import struct
+import tracemalloc
 import zlib
 
 import pytest
@@ -22,6 +23,7 @@ from conftest import (
     seal,
     set_count,
     stored,
+    v4_field,
 )
 from cornerindex.build import build_index, index_from_rle
 from cornerindex.cli import main
@@ -48,14 +50,16 @@ def serialized(index) -> bytes:
     return buf.getvalue()
 
 
-VERSIONS = (1, 2, 3)
+VERSIONS = (1, 2, 3, 4)
+# The versions whose header stores n and the letter totals.
+TOTALS = (1, 2, 3)
 
 
 def example_bytes(version: int = FORMAT_VERSION) -> bytearray:
-    """The worked example's file: version 3 from ``serialize``, versions 1
-    and 2 from the reference writer."""
+    """The worked example's file: version 4 from ``serialize``, versions 1
+    to 3 from the reference writer."""
     index = build_index(EXAMPLE)
-    return bytearray(serialized(index) if version == 3 else index_bytes(index, version))
+    return bytearray(serialized(index) if version == 4 else index_bytes(index, version))
 
 
 def load(raw):
@@ -122,20 +126,23 @@ class TestRoundTrip:
     @given(st.text(alphabet="ab", max_size=50))
     @settings(max_examples=150)
     def test_any_string(self, s):
-        # version 1 and 2 files, as earlier writers made them, still load
+        # version 1 to 3 files, as earlier writers made them, still load
         idx = build_index(s)
-        for raw in (serialized(idx), index_bytes(idx, 1), index_bytes(idx, 2)):
+        for raw in (serialized(idx), index_bytes(idx, 1), index_bytes(idx, 2),
+                    index_bytes(idx, 3)):
             back = load(raw)
             assert back == idx
             assert (back.peak_min, back.peak_max) == (idx.peak_min, idx.peak_max)
 
 
 # Corner lists that are each valid and whose anchors agree, but that cross,
-# with the smallest crossing x, bmin(x) and bmax(x). In the second pair the
-# lists cross on 2..4, and bmin's later step, at x = 4, crosses too.
+# with the smallest crossing x, bmin(x) and bmax(x). No later l_min a-count
+# difference exceeds the first, nor any later l_max b-count difference, so
+# files of versions 3 and 4 load them too. In the second pair the lists
+# cross on 2..3, and bmin's later step, at x = 3, crosses too.
 CROSSED = [
-    ([(0, 0), (2, 3)], [(0, 0), (1, 1), (2, 3)], (1, 3, 1)),
-    ([(1, 0), (3, 3), (5, 6)], [(0, 1), (2, 2), (4, 4), (5, 7)], (2, 3, 2)),
+    ([(1, 0), (2, 3), (3, 4)], [(0, 2), (3, 4)], (2, 3, 2)),
+    ([(1, 0), (2, 4), (3, 5), (4, 6)], [(0, 3), (4, 6)], (2, 4, 3)),
 ]
 
 
@@ -186,33 +193,56 @@ WIDTH_CASES = [
 
 class TestLayout:
     def test_size_formula(self):
-        # version 3 stores each column at its own width, the narrowest of 1,
-        # 2, 4 and 8 bytes that holds its first count and each difference;
-        # version 2 each a-count column at wa and each b-count column at wb,
-        # the narrowest that holds the letter total. Version 3's bytes are
-        # those of the reference writer, and no column is wider than in
-        # version 2.
+        # versions 3 and 4 store each column at its own width, the narrowest
+        # of 1, 2, 4 and 8 bytes that holds its first count and each
+        # difference; version 2 each a-count column at wa and each b-count
+        # column at wb, the narrowest that holds the letter total. Version
+        # 4's bytes are those of the reference writer, its header fields
+        # all fit one byte here, and no column is wider than in version 2.
         for a_runs, b_runs, (wa, wb), widths in WIDTH_CASES:
             idx = index_from_rle(RunLengthEncoding(a_runs, b_runs))
             raw = serialized(idx)
             counts = (len(idx.l_min),) * 2 + (len(idx.l_max),) * 2
+            payload = sum(map(operator.mul, widths, counts))
             assert len(raw) == file_size(idx)
-            assert file_size(idx) == 72 + sum(map(operator.mul, widths, counts)) + 4
-            assert tuple(raw[68:72]) == widths
-            assert raw == index_bytes(idx, 3)
+            assert file_size(idx) == 21 + payload + 4
+            assert tuple(raw[12:17]) == (1, *widths)
+            assert raw == index_bytes(idx, 4)
             assert all(map(operator.le, widths, (wa, wb, wa, wb)))
             assert roundtrip(idx) == idx
+            v3 = index_bytes(idx, 3)
+            assert len(v3) == 72 + payload + 4
+            assert tuple(v3[68:72]) == widths
+            assert load(v3) == idx
             old = index_bytes(idx, 2)
             assert len(old) == 68 + (wa + wb) * (counts[0] + counts[2]) + 4
             assert load(old) == idx
 
     def test_header_fields(self):
         raw = bytes(example_bytes())
+        assert struct.unpack_from("<8sI", raw) == (MAGIC, FORMAT_VERSION)
+        assert MAGIC == b"CORNERIX" and FORMAT_VERSION == 4
+        # header fields 1 byte wide, columns as in version 3; then k_min 4,
+        # k_max 5, peak_min 4 and peak_max 5, one byte each; then each
+        # column's first count and differences, one byte each, and the CRC32
+        # of everything before it
+        assert raw[12:17] == bytes([1, 1, 1, 1, 1])
+        assert raw[17:21] == bytes([4, 5, 4, 5])
+        assert raw[21:] == bytes([3, 2, 2, 2, 0, 2, 2, 2, 0, 2, 3, 1, 1,
+                                  3, 2, 2, 1, 1]) + struct.pack("<I", zlib.crc32(raw[:-4]))
+        assert len(raw) == file_size(build_index(EXAMPLE)) == 43
+        assert raw.hex() == (
+            "434f524e45524958040000000101010101040504050302020200020202000203"
+            "010103020201015983bd9b"
+        )
+
+    def test_version_3_header_fields(self):
+        raw = bytes(example_bytes(3))
         magic, version, n, ta, tb, kmin, kmax, pmin, pmax = struct.unpack_from(
             "<8sI7Q", raw
         )
         assert magic == MAGIC == b"CORNERIX"
-        assert version == FORMAT_VERSION == 3
+        assert version == 3
         assert (n, ta, tb) == (18, 9, 9)
         assert (kmin, kmax) == (4, 5)
         assert (pmin, pmax) == (4, 5)
@@ -227,6 +257,37 @@ class TestLayout:
             "0000000004000000000000000500000000000000040000000000000005000000"
             "000000000101010103020202000202020002030101030202010153082fb9"
         )
+
+    @pytest.mark.parametrize("peaks, wh", [
+        ((4, 5), 1), ((255, 5), 1), ((256, 5), 2), ((4, 65_535), 2),
+        ((65_536, 5), 4), ((4, (1 << 32) - 1), 4), ((1 << 32, 5), 8), ((4, 1 << 40), 8),
+    ])
+    def test_header_field_width(self, peaks, wh):
+        # the four version 4 header fields share the narrowest width that
+        # holds the largest of them; here the peaks, set through the
+        # constructor, and they round-trip at every width
+        example = build_index(EXAMPLE)
+        idx = CornerIndex(example.l_min, example.l_max, *peaks)
+        raw = serialized(idx)
+        assert raw[12] == wh
+        assert len(raw) == file_size(idx) == 17 + 4 * wh + 18 + 4
+        assert raw == index_bytes(idx, 4)
+        back = load(raw)
+        assert back == idx
+        assert (back.peak_min, back.peak_max) == peaks
+
+    def test_entry_count_sets_the_header_width(self):
+        # a built index with over 255 entries in a list takes 2-byte fields
+        idx = build_index(coin_string(random.Random(5), 3000))
+        assert 255 < max(len(idx.l_min), len(idx.l_max), idx.peak_min, idx.peak_max) < 65_536
+        raw = serialized(idx)
+        assert raw[12] == 2
+        assert struct.unpack_from("<4H", raw, 17) == (
+            len(idx.l_min), len(idx.l_max), idx.peak_min, idx.peak_max)
+        assert len(raw) == file_size(idx)
+        back = load(raw)
+        assert back == idx
+        assert (back.peak_min, back.peak_max) == (idx.peak_min, idx.peak_max)
 
     def test_version_2_header_fields(self):
         raw = bytes(example_bytes(2))
@@ -252,7 +313,7 @@ def corrupt(raw: bytearray, offset: int, value: int, width: str = "<Q") -> bytea
 
 def rejects_payload(version, raw, message):
     """A file that fails a check made on its entries gets that check's
-    CorruptIndexError; in versions 2 and 3 only once it is resealed, since
+    CorruptIndexError; in versions 2 to 4 only once it is resealed, since
     the checksum is checked first: as edited, it gets the checksum error."""
     if version > 1:
         with pytest.raises(CorruptIndexError, match="checksum mismatch"):
@@ -262,19 +323,23 @@ def rejects_payload(version, raw, message):
         load(raw)
 
 
-def rejects_entry(name, i, coord, value, message):
-    """Setting one count gets the named CorruptIndexError from every format
-    version."""
-    for version in VERSIONS:
+def rejects_entry(name, i, coord, value, message, versions=VERSIONS):
+    """Setting one count gets the named CorruptIndexError from each of the
+    given format versions."""
+    for version in versions:
         rejects_payload(version, set_count(example_bytes(version), name, i, coord, value), message)
 
 
-# Header size by format version: version 3 adds four width bytes.
-HEAD = {1: 68, 2: 68, 3: 72}
+# Header size of the example's file by format version: version 3 adds four
+# width bytes to version 2's, version 4 has five width bytes and four
+# one-byte fields after the version.
+HEAD = {1: 68, 2: 68, 3: 72, 4: 21}
+# Offset and struct format of l_min's entry count in the example's file.
+K_MIN = {1: (36, "<Q"), 2: (36, "<Q"), 3: (36, "<Q"), 4: (17, "<B")}
 
 
 class TestRejections:
-    """Each damaged file gets its named error in format versions 1 to 3."""
+    """Each damaged file gets its named error in format versions 1 to 4."""
 
     def test_bad_magic(self):
         for version in VERSIONS:
@@ -284,15 +349,18 @@ class TestRejections:
                 load(raw)
 
     def test_truncated_header(self):
-        for version in VERSIONS:
+        for version in TOTALS:
             with pytest.raises(CorruptIndexError, match="truncated header"):
                 load(example_bytes(version)[:40])
         for cut in range(68, 72):  # inside version 3's width bytes
             with pytest.raises(CorruptIndexError, match="truncated header"):
                 load(example_bytes(3)[:cut])
+        for cut in range(8, 21):  # inside version 4's prefix, widths and fields
+            with pytest.raises(CorruptIndexError, match="truncated header"):
+                load(example_bytes(4)[:cut])
 
     def test_unsupported_version(self):
-        for version, bad in itertools.product(VERSIONS, (0, 4)):
+        for version, bad in itertools.product(VERSIONS, (0, 5)):
             raw = corrupt(example_bytes(version), 8, bad, "<I")
             with pytest.raises(IndexFormatError, match=f"unsupported format version {bad}"):
                 load(raw)
@@ -300,7 +368,7 @@ class TestRejections:
     def test_totals_mismatch(self):
         # the header is checked before the payload and its checksum are
         # read, so a version 2 or 3 file gets the same error sealed or not
-        for version in VERSIONS:
+        for version in TOTALS:
             raw = corrupt(example_bytes(version), 20, 5)  # total_a 9 -> 5
             for raw in (raw, seal(raw)):
                 with pytest.raises(CorruptIndexError, match="letter totals do not sum"):
@@ -308,14 +376,14 @@ class TestRejections:
 
     def test_truncated_payload(self):
         # the example's payload: 144 bytes in version 1; 18, then 4 of CRC,
-        # in versions 2 and 3
+        # in versions 2 to 4
         for version in VERSIONS:
             raw = example_bytes(version)
             with pytest.raises(CorruptIndexError, match="truncated l_max payload"):
                 load(raw[:-8])
             with pytest.raises(CorruptIndexError, match="truncated l_min payload"):
                 load(raw[:HEAD[version] + 2])
-        for version in (2, 3):
+        for version in (2, 3, 4):
             with pytest.raises(CorruptIndexError, match="truncated checksum"):
                 load(example_bytes(version)[:-1])
 
@@ -324,7 +392,7 @@ class TestRejections:
         # payload; totals of 2^58 letters each allow that many entries, so
         # the count passes the header checks and only the read can fail
         path = tmp_path / "huge.cix"
-        for version in VERSIONS:
+        for version in TOTALS:
             head = corrupt(example_bytes(version)[:HEAD[version]], 12, 1 << 59)
             struct.pack_into("<2Q", head, 20, 1 << 58, 1 << 58)
             path.write_bytes(corrupt(bytearray(head), 36, 1 << 58))
@@ -344,7 +412,7 @@ class TestRejections:
         idx = build_index(EXAMPLE)
         eleven = [(i, i) for i in range(11)]
         path = tmp_path / "counts.cix"
-        for version, (lists, name) in itertools.product(VERSIONS, (
+        for version, (lists, name) in itertools.product(TOTALS, (
             ((eleven, list(idx.l_max)), "l_min"),
             ((list(idx.l_min), eleven), "l_max"),
         )):
@@ -355,7 +423,7 @@ class TestRejections:
             assert main(["query", "--index", str(path), "--input", os.devnull]) == 2
             assert capsys.readouterr().err == f"error: {message}\n"
         # checked before any payload is read: the header alone gets the same error
-        for version in VERSIONS:
+        for version in TOTALS:
             with pytest.raises(CorruptIndexError, match="l_min claims 288230376151711744"):
                 load(corrupt(example_bytes(version), 36, 1 << 58)[:68])
 
@@ -369,9 +437,96 @@ class TestRejections:
                 with pytest.raises(CorruptIndexError, match=f"unknown column width {bad};"):
                     load(raw)
 
+    def test_unknown_width_version_4(self):
+        # each of version 4's five width bytes is checked, and named, before
+        # any header field after it is read
+        slots = ("header field", "l_min a-count column", "l_min b-count column",
+                 "l_max a-count column", "l_max b-count column")
+        for (slot, name), bad in itertools.product(enumerate(slots), (0, 3, 5, 16, 255)):
+            raw = example_bytes(4)
+            raw[12 + slot] = bad
+            for raw in (raw, seal(raw), raw[:17]):
+                with pytest.raises(CorruptIndexError, match=f"^unknown {name} width {bad};"):
+                    load(raw)
+
+    def test_count_beyond_file_size_version_4(self, tmp_path):
+        # version 4 stores no totals to bound an entry count: a header with
+        # 8-byte fields claiming 2^58 entries, followed by the example's 18
+        # column bytes and CRC32, gets the truncation error from the read,
+        # which allocates no more than the stream holds
+        good = example_bytes(4)
+        path = tmp_path / "huge.cix"
+        for fields, message in (((1 << 58, 5, 4, 5), "truncated l_min payload"),
+                                ((4, 1 << 58, 4, 5), "truncated l_max payload")):
+            raw = good[:12] + bytes([8, 1, 1, 1, 1]) + struct.pack("<4Q", *fields) + good[21:]
+            path.write_bytes(raw)
+            for read in (lambda: load(raw), lambda: load_index(str(path))):
+                tracemalloc.start()
+                try:
+                    with pytest.raises(CorruptIndexError, match=message):
+                        read()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 2 << 20
+
+    def test_first_runs(self):
+        # l_min's first a-count is pnf_a's first a-run, its longest, so a
+        # later a-count difference that exceeds it is refused; so is a later
+        # l_max b-count difference that exceeds l_max's first b-count, pnf_b's
+        # first b-run. Each edit moves a list's last count from 9 to 13, a
+        # run of 6 after l_min's first a-count 3 or of 5 after l_max's first
+        # b-count 3, and in version 3 moves n and that total with it, so that
+        # once resealed only this check fails.
+        for version, (name, i, coord, total, message) in itertools.product((3, 4), (
+            ("l_min", 3, 0, 20, "l_min stores a-run 6 after first a-count 3; "
+                                "pnf_a's first a-run is its longest"),
+            ("l_max", 4, 1, 28, "l_max stores b-run 5 after first b-count 3; "
+                                "pnf_b's first b-run is its longest"),
+        )):
+            raw = set_count(example_bytes(version), name, i, coord, 13)
+            if version == 3:
+                corrupt(corrupt(raw, 12, 22), total, 13)
+            rejects_payload(version, raw, f"^{message}$")
+        # a later run equal to the first loads, one longer is refused, in
+        # columns of one, two and four bytes a value; in the wider columns,
+        # later runs whose top byte is below, equal to or above the first's
+        for version, (l_min, l_max, message) in itertools.product((3, 4), (
+            ([(3, 0), (6, 1)], [(0, 1), (6, 2)], None),
+            ([(3, 0), (7, 1)], [(0, 1), (7, 2)], "l_min stores a-run 4 after first a-count 3;"),
+            ([(600, 0), (900, 1)], [(0, 1), (900, 2)], None),
+            ([(300, 0), (600, 1)], [(0, 1), (600, 2)], None),
+            ([(300, 0), (601, 1)], [(0, 1), (601, 2)],
+             "l_min stores a-run 301 after first a-count 300;"),
+            ([(300, 0), (900, 1)], [(0, 1), (900, 2)],
+             "l_min stores a-run 600 after first a-count 300;"),
+            ([(70_000, 0), (140_000, 1)], [(0, 1), (140_000, 2)], None),
+            ([(70_000, 0), (140_001, 1)], [(0, 1), (140_001, 2)],
+             "l_min stores a-run 70001 after first a-count 70000;"),
+            ([(1, 0)], [(0, 3), (1, 6)], None),
+            ([(1, 0)], [(0, 3), (1, 7)], "l_max stores b-run 4 after first b-count 3;"),
+            ([(1, 0)], [(0, 600), (1, 900)], None),
+            ([(1, 0)], [(0, 300), (1, 600)], None),
+            ([(1, 0)], [(0, 300), (1, 601)], "l_max stores b-run 301 after first b-count 300;"),
+            ([(1, 0)], [(0, 300), (1, 900)], "l_max stores b-run 600 after first b-count 300;"),
+        )):
+            total_a, total_b = l_min[-1][0], l_max[-1][1]
+            raw = cix_bytes(version, total_a + total_b, total_a, total_b, l_min, l_max, 1, 1)
+            if message is None:
+                assert list(load(raw).l_min) == l_min
+            else:
+                with pytest.raises(CorruptIndexError, match=message):
+                    load(raw)
+        # the lists of the first crossed pair of earlier suites fail it first
+        for version in (3, 4):
+            raw = cix_bytes(version, 5, 2, 3, [(0, 0), (2, 3)], [(0, 0), (1, 1), (2, 3)], 2, 3)
+            with pytest.raises(CorruptIndexError, match="l_min stores a-run 2 after first a-count 0;"):
+                load(raw)
+
     def test_empty_list(self):
         for version in VERSIONS:
-            raw = corrupt(example_bytes(version), 36, 0)  # l_min count -> 0
+            offset, fmt = K_MIN[version]
+            raw = corrupt(example_bytes(version), offset, 0, fmt)  # l_min count -> 0
             rejects_payload(version, raw, "l_min is empty")
 
     def test_not_increasing(self):
@@ -382,17 +537,17 @@ class TestRejections:
                 set_count(raw, "l_min", 0, coord, second)
                 set_count(raw, "l_min", 1, coord, first)
             rejects_payload(version, raw, "not strictly increasing")
-        # one coordinate of entry 2 made equal to entry 1's, which version 3
-        # stores as a zero difference after the first value
+        # one coordinate of entry 2 made equal to entry 1's, which versions 3
+        # and 4 store as a zero difference after the first value
         for version, name, coord in itertools.product(VERSIONS, ("l_min", "l_max"), (0, 1)):
             raw = example_bytes(version)
             set_count(raw, name, 2, coord, count_at(raw, name, 1, coord))
-            if version == 3:
+            if version >= 3:
                 assert stored(raw, name, 2, coord) == 0
             rejects_payload(version, raw, f"{name} is not strictly increasing")
 
     def test_lmin_end_anchor(self):
-        rejects_entry("l_min", 3, 0, 8, "l_min does not end at the total")  # last x: 9 -> 8
+        rejects_entry("l_min", 3, 0, 8, "l_min does not end at the total", TOTALS)  # last x: 9 -> 8
 
     def test_lmin_start_anchor(self):
         rejects_entry("l_min", 0, 1, 1, "does not start at b-count zero")  # first y: 0 -> 1
@@ -404,7 +559,15 @@ class TestRejections:
         rejects_entry("l_max", 0, 0, 1, "does not start at a-count zero")  # first x: 0 -> 1
 
     def test_lmax_end_anchor(self):
-        rejects_entry("l_max", 4, 1, 10, "does not end at the total b-count")  # last y: 9 -> 10
+        rejects_entry("l_max", 4, 1, 10, "does not end at the total b-count", TOTALS)  # last y: 9 -> 10
+
+    def test_version_4_totals_are_the_list_ends(self):
+        # version 4 stores no totals: the same two edits, resealed, load as
+        # the index whose totals are the edited ends
+        raw = seal(set_count(example_bytes(4), "l_min", 3, 0, 8))
+        assert (load(raw).total_a, load(raw).n) == (8, 17)
+        raw = seal(set_count(example_bytes(4), "l_max", 4, 1, 10))
+        assert (load(raw).total_b, load(raw).n) == (10, 19)
 
     def test_lmax_x_bound(self):
         rejects_entry("l_max", 4, 0, 10, "l_max a-count exceeds the total")  # last x: 7 -> 10
@@ -440,6 +603,9 @@ class TestSilentCorruption:
 
     def test_version_3_names_the_checksum(self, tmp_path, capsys):
         self.names_the_checksum(3, tmp_path, capsys)
+
+    def test_version_4_names_the_checksum(self, tmp_path, capsys):
+        self.names_the_checksum(4, tmp_path, capsys)
 
     def test_version_1_loads_it(self):
         # version 1 has no checksum: the edit loads as another index
@@ -518,9 +684,37 @@ def test_resealed_edits_match_version_1_reference(text):
 
 def as_version_1(raw) -> bytes:
     """The version 1 file with raw's header fields and the lists raw
-    stores, each count read on its own by the reference readers."""
-    n, total_a, total_b, peak_min, peak_max = struct.unpack_from("<3Q16x2Q", raw, 12)
-    return cix_bytes(1, n, total_a, total_b, *decoded_lists(raw), peak_min, peak_max)
+    stores, each count read on its own by the reference readers. A version
+    4 file stores no n or letter totals; they are read off its lists, as its
+    loader reads them."""
+    l_min, l_max = decoded_lists(raw)
+    if struct.unpack_from("<I", raw, 8)[0] != 4:
+        n, total_a, total_b, peak_min, peak_max = struct.unpack_from("<3Q16x2Q", raw, 12)
+    else:
+        (peak_min,), (peak_max,) = (struct.unpack_from(fmt, raw, offset)
+                                    for offset, fmt in (v4_field(raw, 2), v4_field(raw, 3)))
+        total_a = l_min[-1][0] if l_min else 0
+        total_b = l_max[-1][1] if l_max else 0
+        n = total_a + total_b
+    return cix_bytes(1, n, total_a, total_b, l_min, l_max, peak_min, peak_max)
+
+
+def reference_outcome(raw):
+    """What loading the version 3 or 4 file raw should give: what the
+    version 1 reference loader gives for raw's header fields and lists, then
+    the check that no run of pnf_a or pnf_b after the first that the lists
+    store exceeds it."""
+    outcome = _outcome(reference_deserialize, as_version_1(raw))
+    if isinstance(outcome[0], CornerIndex):
+        index = outcome[0]
+        for name, counts, letter, form in (("l_min", index.l_min.xs, "a", "pnf_a"),
+                                           ("l_max", index.l_max.ys, "b", "pnf_b")):
+            runs = [b - a for a, b in zip((0, *counts), counts)]
+            if any(run > runs[0] for run in runs):
+                return CorruptIndexError, (
+                    f"{name} stores {letter}-run {max(runs)} after first "
+                    f"{letter}-count {runs[0]}; {form}'s first {letter}-run is its longest")
+    return outcome
 
 
 @LOADER_TEXTS
@@ -529,7 +723,7 @@ def test_resealed_version_3_edits_match_version_1_reference(text):
     # or a difference) set to five other values that fit its column, each
     # file resealed: the loader gives what the reference gives for the
     # version 1 file of the same header fields and the lists the edit stores.
-    v3 = serialized(build_index(text))
+    v3 = index_bytes(build_index(text), 3)
     edits = []
     for offset in HEADER_OFFSETS:
         (v,) = struct.unpack_from("<Q", v3, offset)
@@ -547,14 +741,39 @@ def test_resealed_version_3_edits_match_version_1_reference(text):
         assert _outcome(deserialize, v3[:cut])[0] in (IndexFormatError, CorruptIndexError)
 
 
-def test_every_byte_of_the_version_3_example():
-    # Each byte of the worked example's version 3 file xored with every
-    # nonzero mask. As flipped, the file gets a named error. Resealed, it
-    # gets a named error or loads as the index its bytes store: the one the
-    # reference loader gives for the version 1 file of the same header
-    # fields and lists, peaks included. Every strict prefix gets a named
-    # error.
-    good = bytes(example_bytes(3))
+@LOADER_TEXTS
+def test_resealed_version_4_edits_match_version_1_reference(text):
+    # Version 4: both peaks and every stored value (a first count or a
+    # difference) set to five other values that fit their fields, each
+    # file resealed: the loader gives what the reference gives for the
+    # version 1 file of the same peaks and lists, followed by the first-run
+    # check. Every strict prefix gets a named error.
+    v4 = serialized(build_index(text))
+    edits = []
+    for offset, fmt in (v4_field(v4, 2), v4_field(v4, 3)):
+        (v,) = struct.unpack_from(fmt, v4, offset)
+        edits += [(offset, fmt, new) for new in _edits(v, struct.calcsize(fmt))]
+    lists = decoded_lists(v4)
+    for name, lst in zip(("l_min", "l_max"), lists):
+        for i, coord in itertools.product(range(len(lst)), (0, 1)):
+            offset, field = cix_field(v4, name, i, coord)
+            value = stored(v4, name, i, coord)
+            edits += [(offset, field, new) for new in _edits(value, struct.calcsize(field))]
+    for offset, field, new in edits:
+        edited = seal(corrupt(bytearray(v4), offset, new, field))
+        assert _outcome(deserialize, edited) == reference_outcome(edited)
+    for cut in range(len(v4)):
+        assert _outcome(deserialize, v4[:cut])[0] in (IndexFormatError, CorruptIndexError)
+
+
+def every_byte(version):
+    """Each byte of the worked example's file in the given version xored
+    with every nonzero mask. As flipped, the file gets a named error.
+    Resealed, it gets a named error or loads as the index its bytes store:
+    the one the reference loader gives for the version 1 file of the same
+    header fields and lists, peaks included. Every strict prefix gets a
+    named error."""
+    good = bytes(example_bytes(version))
     named = (IndexFormatError, CorruptIndexError)
     loaded = 0
     for at, mask in itertools.product(range(len(good)), range(1, 256)):
@@ -568,7 +787,7 @@ def test_every_byte_of_the_version_3_example():
         except named:
             continue
         loaded += 1
-        assert _outcome(deserialize, raw) == _outcome(reference_deserialize, as_version_1(raw))
+        assert _outcome(deserialize, raw) == reference_outcome(raw)
     # some resealed flips of peaks and counts do load
     assert loaded
     for cut in range(len(good)):
@@ -576,9 +795,17 @@ def test_every_byte_of_the_version_3_example():
             load(good[:cut])
 
 
+def test_every_byte_of_the_version_3_example():
+    every_byte(3)
+
+
+def test_every_byte_of_the_version_4_example():
+    every_byte(4)
+
+
 @st.composite
 def mutants(draw):
-    """A random index, its file in format version 1, 2 or 3, and that file
+    """A random index, its file in format version 1 to 4, and that file
     with one byte changed, a tail cut, bytes inserted or bytes deleted."""
     pairs = draw(st.integers(1, 24))
     # run lengths up to 70,000 give letter totals in 1-, 2- and 4-byte columns
@@ -591,7 +818,7 @@ def mutants(draw):
         b_runs[-1] = 0
     index = index_from_rle(RunLengthEncoding(a_runs, b_runs))
     version = draw(st.sampled_from(VERSIONS))
-    good = serialized(index) if version == 3 else index_bytes(index, version)
+    good = serialized(index) if version == 4 else index_bytes(index, version)
     at = draw(st.integers(0, len(good) - 1))
     kind = draw(st.sampled_from(["flip", "truncate", "insert", "delete"]))
     if kind == "flip":
@@ -608,7 +835,7 @@ def mutants(draw):
 @given(mutants())
 @settings(max_examples=400, deadline=None)
 def test_mutated_files(mutant):
-    # Only the two named errors escape; a version 2 or 3 mutant that loads
+    # Only the two named errors escape; a version 2 to 4 mutant that loads
     # is its source, peaks included (the checksum covers the whole header).
     index, version, raw = mutant
     try:
