@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Smoke checks that CI runs after the tier-1 tests: the traced benchmark on
-# every workload, then the command-line interface end to end. Run from any
-# directory as `bash scripts/smoke.sh`; it stops at the first failing check.
+# every workload and one short untraced run, then the command-line interface
+# end to end. Run from any directory as `bash scripts/smoke.sh`; it stops at
+# the first failing check.
 set -eo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="$PWD/src${PYTHONPATH:+:$PYTHONPATH}"
@@ -14,6 +15,11 @@ for workload in many-small coin-dense runs-long; do
   python3 bench/run.py --workload "$workload" --trace 1 | tail -n 1 |
     python3 -c 'import json, sys; sys.exit(json.loads(sys.stdin.read())["correct"] is not True)'
 done
+# Only untraced rounds compare every serving output, the length tables among
+# them, with the first round's; one short run of them must be correct with
+# no failed operation.
+python3 bench/run.py --workload runs-long --trace 0 --seconds 1 | tail -n 1 |
+  python3 -c 'import json, sys; r = json.loads(sys.stdin.read()); sys.exit(not (r["correct"] is True and r["failed"] == 0))'
 
 # CLI: verify's oracle grid calls query; texts of up to 48 characters take
 # the sequential sweep, of up to 512 mostly the numpy block path, with

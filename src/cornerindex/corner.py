@@ -27,10 +27,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import cached_property
-from operator import lt
+from itertools import chain
+from operator import lt, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .rle import _Record
+from .rle import MAX_TEXT_LENGTH, _Record
 
 __all__ = [
     "ParikhVector",
@@ -123,12 +124,14 @@ class CornerList(Sequence):
 
 
 class LengthTables(NamedTuple):
-    """Per-length a-count envelope: for every substring length m,
-    ``min_a[m]`` and ``max_a[m]`` bound the a-counts over all length-m
-    substrings, and every value between them is achieved."""
+    """Per-length a-count envelope: for every substring length m from 0 to
+    n, ``min_a[m]`` and ``max_a[m]`` bound the a-counts over all length-m
+    substrings, and every value between them is achieved. Each field is an
+    ``array('Q')`` of n + 1 counts, 8 bytes an entry; ``==`` between two
+    tables compares their entries and returns a bool."""
 
-    min_a: tuple[int, ...]
-    max_a: tuple[int, ...]
+    min_a: Sequence[int]
+    max_a: Sequence[int]
 
 
 def _pnf_runs(
@@ -142,10 +145,31 @@ def _pnf_runs(
     (a-counts, b-counts) gives pnf_a's (a-run, b-run) pairs, and l_max read
     as (b-counts, a-counts) gives pnf_b's (b-run, a-run) pairs.
     """
-    prev = 0
-    for x, y, nxt in zip(firsts, seconds, (*seconds[1:], total_second)):
-        yield x - prev, nxt - y
-        prev = x
+    return zip(map(sub, firsts, (0, *firsts)),
+               map(sub, (*seconds[1:], total_second), seconds))
+
+
+def _prefix_counts(runs: Iterator[tuple[int, int]], steps: bytes) -> Sequence[int]:
+    """Letter counts of a prefix normal form's prefixes, from length 0 to
+    n, as an ``array('Q')``: ``steps`` holds what each of the form's two
+    letters in a run pair adds to the count, 0 or 1."""
+    # Imported here, so that serving an index loads neither module.
+    from array import array
+
+    import numpy as np
+
+    lengths = array("Q", chain.from_iterable(runs))
+    # np.repeat refuses uint64 repeat counts; run lengths that need the
+    # 64th bit could not be expanded in memory anyway.
+    expanded = np.repeat(np.frombuffer(steps * (len(lengths) >> 1), np.uint8),
+                         np.frombuffer(lengths, np.int64))
+    # The counts are summed in place in the array's own buffer, so the only
+    # other allocation is one byte per letter for the steps.
+    counts = array("Q", [0]) * (len(expanded) + 1)
+    tail = np.frombuffer(counts, np.uint64)[1:]
+    tail[:] = expanded
+    np.add.accumulate(tail, out=tail)
+    return counts
 
 
 class CornerIndex(_Record):
@@ -156,7 +180,9 @@ class CornerIndex(_Record):
     constructor raises ValueError when the lists' anchors disagree. These
     derived fields, and the construction instrumentation peak_* and
     inspected_* (largest working-list size reached, candidates examined),
-    are excluded from equality.
+    are excluded from equality. The instrumentation is stored as unsigned
+    64-bit words, so the constructor raises ValueError naming the field
+    when one is not an int in 0..2**64 - 1.
     """
 
     _fields = ("l_min", "l_max", "peak_min", "peak_max", "inspected_min",
@@ -172,6 +198,18 @@ class CornerIndex(_Record):
         inspected_min: int = 0,
         inspected_max: int = 0,
     ):
+        # MAX_TEXT_LENGTH is also the largest unsigned 64-bit word. One
+        # chained test covers all four counters; only a failure looks for
+        # the field to name.
+        top = MAX_TEXT_LENGTH
+        if not (type(peak_min) is type(peak_max) is type(inspected_min)
+                is type(inspected_max) is int
+                and 0 <= peak_min <= top and 0 <= peak_max <= top
+                and 0 <= inspected_min <= top and 0 <= inspected_max <= top):
+            counters = (peak_min, peak_max, inspected_min, inspected_max)
+            for name, value in zip(self._fields[2:6], counters):
+                if type(value) is not int or not 0 <= value <= top:
+                    raise ValueError(f"{name} must be an int in 0..2**64 - 1, not {value!r}")
         # The coordinate tuples directly: this runs on every load.
         xs_min, ys_min = l_min._xs, l_min._ys
         xs_max, ys_max = l_max._xs, l_max._ys
@@ -296,21 +334,16 @@ class CornerIndex(_Record):
         """Expand the corner lists into per-length a-count bounds.
 
         max_a[m] is the a-count of pnf_a's m-prefix and min_a[m] that of
-        pnf_b's, so both tables come from one walk over the corner runs:
-        max_a rises over each a-run and stays flat over each b-run, min_a
-        the other way round. The cost is O(n) in C-level list extends plus
-        O(|l_min| + |l_max|) Python steps. It first builds the lookup table,
-        whose merge raises CorruptIndexError if the lists cross.
+        pnf_b's: max_a rises over each of pnf_a's a-runs and stays flat
+        over its b-runs, min_a stays flat over each of pnf_b's b-runs and
+        rises over its a-runs. Each table is one numpy expansion of the
+        form's O(|L|) run lengths into an ``array('Q')``: O(n) work in C,
+        8 bytes an entry. numpy and array are imported here, not when the
+        module loads. It first builds the lookup table, whose merge raises
+        CorruptIndexError if the lists cross.
         """
         self._segments  # the lookup table, whose merge refuses crossed lists
-        max_a = [0]
-        for u, v in _pnf_runs(self.l_min.xs, self.l_min.ys, self.total_b):
-            c = max_a[-1]
-            max_a += range(c + 1, c + u + 1)
-            max_a += [c + u] * v
-        min_a = [0]
-        for u, v in _pnf_runs(self.l_max.ys, self.l_max.xs, self.total_a):
-            c = min_a[-1]
-            min_a += [c] * u
-            min_a += range(c + 1, c + v + 1)
-        return LengthTables(tuple(min_a), tuple(max_a))
+        return LengthTables(
+            _prefix_counts(_pnf_runs(self.l_max.ys, self.l_max.xs, self.total_a), b"\0\1"),
+            _prefix_counts(_pnf_runs(self.l_min.xs, self.l_min.ys, self.total_b), b"\1\0"),
+        )

@@ -60,12 +60,14 @@ def verify_pnf_relations(index: CornerIndex, pnfs: PnfPair) -> bool:
     Forms of the wrong length or with other than total_a a's fail. One scan
     of each string, plus a binary search per a for bmin and bmax.
     """
+    from array import array  # here, so that `pnf --index` does not load it
+
     pnf_a, pnf_b = pnfs.pnf_a, pnfs.pnf_b
     n, total_a = index.n, index.total_a
     if len(pnf_a) != n or len(pnf_b) != n:
         return False
-    a_counts = accumulate(map("a".__eq__, pnf_a), initial=0)
-    if tuple(a_counts) != index.length_tables().max_a:
+    a_counts = array("Q", accumulate(map("a".__eq__, pnf_a), initial=0))
+    if a_counts != index.length_tables().max_a:
         return False
     where_a = [p for p, c in enumerate(pnf_a, 1) if c == "a"]
     where_b = [p for p, c in enumerate(pnf_b, 1) if c == "a"]

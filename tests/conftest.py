@@ -5,7 +5,7 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate
 
 from cornerindex.build import BuildTrace, build_lmax, build_lmin, index_from_rle
-from cornerindex.corner import CornerIndex, CornerList
+from cornerindex.corner import CornerIndex, CornerList, _pnf_runs
 from cornerindex.rle import MAX_TEXT_LENGTH
 
 # Running example used across the suite: 18 characters, 10 runs.
@@ -107,6 +107,27 @@ def reference_query(index, x, y):
         <= y
         <= l_max.ys[bisect_right(l_max.xs, x) - 1]
     )
+
+
+def reference_length_tables(index):
+    """``CornerIndex.length_tables`` as it was before its numpy expansion:
+    one walk over the corner runs, extending lists of Python ints.
+
+    Returns (min_a, max_a) as tuples. max_a rises over each of pnf_a's
+    a-runs and stays flat over its b-runs; min_a stays flat over each of
+    pnf_b's b-runs and rises over its a-runs.
+    """
+    max_a = [0]
+    for u, v in _pnf_runs(index.l_min.xs, index.l_min.ys, index.total_b):
+        c = max_a[-1]
+        max_a += range(c + 1, c + u + 1)
+        max_a += [c + u] * v
+    min_a = [0]
+    for u, v in _pnf_runs(index.l_max.ys, index.l_max.xs, index.total_a):
+        c = min_a[-1]
+        min_a += [c] * u
+        min_a += range(c + 1, c + v + 1)
+    return tuple(min_a), tuple(max_a)
 
 
 def reference_corner_points(points):

@@ -26,6 +26,7 @@ from conftest import (
     assert_matches_reference,
     index_bytes,
     reference_corner_points,
+    reference_length_tables,
     reference_query,
     reference_sweep,
 )
@@ -51,11 +52,12 @@ binary_strings = st.text(alphabet="ab", max_size=80)
 
 
 @st.composite
-def run_lists(draw):
-    """Padded run lists: positive runs, optionally a leading zero a-run and
-    a trailing zero b-run."""
-    r = draw(st.integers(1, 60))
-    runs = st.lists(st.integers(1, 12), min_size=r, max_size=r)
+def run_lists(draw, max_pairs=60, run_length=st.integers(1, 12)):
+    """Padded run lists of 1 to max_pairs run pairs: positive runs drawn
+    from run_length, optionally a leading zero a-run and a trailing zero
+    b-run."""
+    r = draw(st.integers(1, max_pairs))
+    runs = st.lists(run_length, min_size=r, max_size=r)
     a, b = draw(runs), draw(runs)
     if draw(st.booleans()):
         a[0] = 0
@@ -663,8 +665,38 @@ class TestLengthTables:
         pairs = parikh_set_bruteforce(s)
         by_length = [[x for x, y in pairs if x + y == m] for m in range(len(s) + 1)]
         f, F = build_index(s).length_tables()
-        assert f == tuple(min(xs) for xs in by_length)
-        assert F == tuple(max(xs) for xs in by_length)
+        assert tuple(f) == tuple(min(xs) for xs in by_length)
+        assert tuple(F) == tuple(max(xs) for xs in by_length)
+
+    def test_every_short_string(self):
+        # the packed tables equal the list walk and the fewest and most
+        # a's over the windows of each length
+        for s in all_binary_strings(11):
+            idx = build_index(s)
+            f, F = map(tuple, idx.length_tables())
+            assert (f, F) == reference_length_tables(idx), s
+            for m in range(len(s) + 1):
+                counts = [s.count("a", i, i + m) for i in range(len(s) - m + 1)]
+                assert (f[m], F[m]) == (min(counts), max(counts)), (s, m)
+
+    # short runs mixed with runs of up to 10^4
+    @given(run_lists(12, st.one_of(st.integers(1, 3), st.integers(1, 10_000))))
+    @settings(max_examples=60, deadline=None)
+    def test_long_runs(self, rle):
+        idx = index_from_rle(rle)
+        f, F = idx.length_tables()
+        assert (tuple(f), tuple(F)) == reference_length_tables(idx)
+
+    def test_fields_are_packed(self):
+        # 8 bytes an entry, and == between tables is a plain bool, as the
+        # benchmark's comparison of every round's outputs needs
+        tables = build_index(EXAMPLE).length_tables()
+        for field in tables:
+            assert type(field) is array and field.typecode == "Q"
+            assert len(field) == len(EXAMPLE) + 1
+        same = build_index(EXAMPLE).length_tables()
+        assert (tables == same) is True and (tables != same) is False
+        assert (tables == build_index(EXAMPLE[::-1] + "a").length_tables()) is False
 
     @given(binary_strings)
     @settings(max_examples=200)

@@ -110,6 +110,24 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match=message):
             CornerIndex(CornerList(l_min), CornerList(l_max))
 
+    @pytest.mark.parametrize("value", [-1, 1 << 64, 2.5])
+    @pytest.mark.parametrize("field", ["peak_min", "peak_max", "inspected_min", "inspected_max"])
+    def test_constructor_checks_counters(self, field, value):
+        # the counters are written as unsigned 64-bit words, so any other
+        # value is refused by name before serialize or file_size sees it
+        with pytest.raises(ValueError, match=rf"^{field} must be an int in 0\.\.2\*\*64 - 1"):
+            CornerIndex(CornerList([(1, 0)]), CornerList([(0, 1)]), **{field: value})
+
+    def test_largest_counters_round_trip(self):
+        top = (1 << 64) - 1
+        idx = CornerIndex(CornerList([(1, 0)]), CornerList([(0, 1)]), top, top, top, top)
+        raw = serialized(idx)
+        assert raw[12] == 8
+        assert len(raw) == file_size(idx) == 17 + 4 * 8 + 4 + 4
+        back = load(raw)
+        assert back == idx
+        assert (back.peak_min, back.peak_max) == (top, top)
+
     def test_crossed_lists_are_not_written(self):
         # Each list is valid on its own and the anchors agree, but
         # bmin(1) = 3 > bmax(1) = 1, which no string has.
