@@ -33,25 +33,25 @@ python3 bench/run.py --workload runs-long --trace 0 --seconds 1 | tail -n 1 |
 # truncated, one with a payload byte flipped must fail its checksum and exit
 # 2, and a sealed one whose corner lists cross, written by the reference
 # writer, must exit 2 at its first query and in pnf.
-python -m cornerindex verify --count 200 --length 48 --seed 7
-python -m cornerindex verify --count 60 --length 512 --seed 11
-python -m cornerindex verify --count 60 --length 512 --seed 11 --run-geometric 0.3
-python -m cornerindex experiment --count 20 --length 512 --seed 11
-python -m cornerindex experiment --count 20 --length 512 --seed 11 --run-geometric 0.3 --format jsonl
+python3 -m cornerindex verify --count 200 --length 48 --seed 7
+python3 -m cornerindex verify --count 60 --length 512 --seed 11
+python3 -m cornerindex verify --count 60 --length 512 --seed 11 --run-geometric 0.3
+python3 -m cornerindex experiment --count 20 --length 512 --seed 11
+python3 -m cornerindex experiment --count 20 --length 512 --seed 11 --run-geometric 0.3 --format jsonl
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
 python3 -c 'import random; r = random.Random(7); print("".join(r.choice("ab") for _ in range(3000)))' > "$dir/smoke.txt"
-python -m cornerindex verify --input "$dir/smoke.txt"
+python3 -m cornerindex verify --input "$dir/smoke.txt"
 # 3,000 characters in runs of 1 to 60 (56 run pairs): both sweeps are sparse
 # from the first block, so every block bounds the staircase a chunk of spans
 # at a time, checked here against the brute-force oracle.
 python3 -c 'import random; r = random.Random(7); print("".join("ab"[i % 2] * r.randint(1, 60) for i in range(200))[:3000])' > "$dir/runs.txt"
-python -m cornerindex verify --input "$dir/runs.txt"
-python -m cornerindex build --input "$dir/smoke.txt" --index "$dir/smoke.cix"
-python -m cornerindex bench --index "$dir/smoke.cix" --count 20000
-python -m cornerindex pnf --index "$dir/smoke.cix" > /dev/null
-printf '1 1\n1500 1500\n' | python -m cornerindex query --index "$dir/smoke.cix" --format jsonl
-python -m cornerindex build --input "$dir/smoke.txt" --index "$dir/again.cix" --format jsonl | tee "$dir/build.jsonl"
+python3 -m cornerindex verify --input "$dir/runs.txt"
+python3 -m cornerindex build --input "$dir/smoke.txt" --index "$dir/smoke.cix"
+python3 -m cornerindex bench --index "$dir/smoke.cix" --count 20000
+python3 -m cornerindex pnf --index "$dir/smoke.cix" > /dev/null
+printf '1 1\n1500 1500\n' | python3 -m cornerindex query --index "$dir/smoke.cix" --format jsonl
+python3 -m cornerindex build --input "$dir/smoke.txt" --index "$dir/again.cix" --format jsonl | tee "$dir/build.jsonl"
 cmp "$dir/smoke.cix" "$dir/again.cix"
 python3 -c '
 import json, os, sys
@@ -70,20 +70,20 @@ open(sys.argv[2], "wb").write(index_bytes(load_index(sys.argv[1]), 3))
 ' "$dir/smoke.cix" "$dir/v3.cix"
 printf '1 1\n1500 1500\n40 2\n2 40\n' > "$dir/queries.txt"
 for name in smoke v3; do
-  python -m cornerindex query --index "$dir/$name.cix" --input "$dir/queries.txt" --format jsonl > "$dir/$name.query"
-  python -m cornerindex pnf --index "$dir/$name.cix" > "$dir/$name.pnf"
+  python3 -m cornerindex query --index "$dir/$name.cix" --input "$dir/queries.txt" --format jsonl > "$dir/$name.query"
+  python3 -m cornerindex pnf --index "$dir/$name.cix" > "$dir/$name.pnf"
 done
 cmp "$dir/smoke.query" "$dir/v3.query"
 cmp "$dir/smoke.pnf" "$dir/v3.pnf"
 python3 -c 'import sys; raw = open(sys.argv[1], "rb").read(); open(sys.argv[2], "wb").write(raw[:-3])' "$dir/smoke.cix" "$dir/short.cix"
 status=0
-echo "1 1" | python -m cornerindex query --index "$dir/short.cix" 2> "$dir/short.err" || status=$?
+echo "1 1" | python3 -m cornerindex query --index "$dir/short.cix" 2> "$dir/short.err" || status=$?
 cat "$dir/short.err"
 test "$status" -eq 2
 grep -q truncated "$dir/short.err"
 python3 -c 'import sys; raw = bytearray(open(sys.argv[1], "rb").read()); raw[100] ^= 1; open(sys.argv[1], "wb").write(raw)' "$dir/smoke.cix"
 status=0
-echo "1 1" | python -m cornerindex query --index "$dir/smoke.cix" 2> "$dir/query.err" || status=$?
+echo "1 1" | python3 -m cornerindex query --index "$dir/smoke.cix" 2> "$dir/query.err" || status=$?
 cat "$dir/query.err"
 test "$status" -eq 2
 grep -q checksum "$dir/query.err"
@@ -94,12 +94,12 @@ from conftest import cix_bytes
 open(sys.argv[1], "wb").write(cix_bytes(4, 7, 3, 4, [(1, 0), (2, 3), (3, 4)], [(0, 2), (3, 4)], 3, 2))
 ' "$dir/crossed.cix"
 status=0
-echo "1 1" | python -m cornerindex query --index "$dir/crossed.cix" 2> "$dir/crossed.err" || status=$?
+echo "1 1" | python3 -m cornerindex query --index "$dir/crossed.cix" 2> "$dir/crossed.err" || status=$?
 cat "$dir/crossed.err"
 test "$status" -eq 2
 grep -q cross "$dir/crossed.err"
 status=0
-python -m cornerindex pnf --index "$dir/crossed.cix" 2> "$dir/crossed.err" || status=$?
+python3 -m cornerindex pnf --index "$dir/crossed.cix" 2> "$dir/crossed.err" || status=$?
 cat "$dir/crossed.err"
 test "$status" -eq 2
 grep -q cross "$dir/crossed.err"

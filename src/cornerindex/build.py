@@ -24,17 +24,16 @@ successor b-count for every value, found by one search of that sorted
 range, and its row d the smaller of row d - 1 and the fewest b's of a
 row d - 1 candidate at that a-count or above. While the table stays within
 a few cells per candidate (fair-coin text), blocks grow to a fixed number
-of cells. A sweep whose first row spans more a-counts than it has spans
-(long runs, where the range is many times longer), or whose table outgrows
-that bound, tests against the staircase alone from there on, in blocks of
-one long row or of short rows grouped: it drops whole each chunk of
-consecutive spans of a row whose fewest b's reach the successor of its
-most a's, and searches the spans of the other chunks one by one. Lists
-and peaks are those of the plain sequential sweep, which runs itself, on
-plain ints, when the sweep has at most ``_BLOCK`` spans and when it is
-traced: the optional ``BuildTrace`` records that sweep's candidates and
-mutations at any size. The candidate lists for the order-independence
-check come from the same span generator.
+of cells. A sweep whose table outgrows that bound (long runs, where the
+range is many times longer) tests against the staircase alone from that
+block on, in blocks of one long row or of short rows grouped: it drops
+whole each chunk of consecutive spans of a row whose fewest b's reach the
+successor of its most a's, and searches the spans of the other chunks one
+by one. Lists and peaks are those of the plain sequential sweep, which
+runs itself, on plain ints, when the sweep has at most ``_BLOCK`` spans and
+when it is traced: the optional ``BuildTrace`` records that sweep's
+candidates and mutations at any size. The candidate lists for the
+order-independence check come from the same span generator.
 
 numpy is imported by the first sweep that takes the block path, so loading
 and querying an index, or building one of at most ``_BLOCK`` spans, never
@@ -125,14 +124,12 @@ class _Blocks:
     row (i >= w - d) repeats the span from start i to the last run, which
     an earlier row of the block holds.
 
-    A dense sweep gathers as many rows as fit in ``_DENSE_CELLS * _BLOCK``
-    cells. A sparse one keeps rows of at least ``_BLOCK`` spans to
-    themselves and groups shorter rows until they hold ``_BLOCK`` spans. The
-    first row decides before any block is formed: the sweep starts sparse
-    when that row's a-counts span more values than the row has spans. It
-    turns sparse for good at the first block whose row table (see
-    ``undominated``) would hold more than ``_TABLE`` cells per span, and
-    that block is formed again in the sparse shape. Spans are those of
+    A sweep starts dense: a dense block gathers as many rows as fit in
+    ``_DENSE_CELLS * _BLOCK`` cells. The sweep turns sparse for good at the
+    first block whose row table (see ``undominated``) would hold more than
+    ``_TABLE`` cells per span, and that block is formed again in the sparse
+    shape, which keeps rows of at least ``_BLOCK`` spans to themselves and
+    groups shorter rows until they hold ``_BLOCK`` spans. Spans are those of
     ``first_runs``, with ``second`` the runs between them. numpy is imported
     here, so only a sweep that takes the block path loads it.
     """
@@ -151,9 +148,8 @@ class _Blocks:
             sums[0] = 0
             np.cumsum(np.array(runs, dtype=np.uint64), out=sums[1 : len(runs) + 1])
             sums[len(runs) + 1 :] = sums[len(runs)]
-        # Whether blocks read a row table (one-way switch). The first row's
-        # a-counts are the first runs themselves.
-        self.dense = max(first_runs) - min(first_runs) < r
+        # Whether blocks read a row table (one-way switch).
+        self.dense = True
 
     def _rows(self, k: int, g: int) -> tuple[np.ndarray, np.ndarray]:
         """x and y of rows k..k+g-1 as a (g, r - k + 1) block."""
@@ -208,44 +204,45 @@ class _Blocks:
         sweep rejects. The table also rejects the cells past the end of a
         row, which repeat spans of earlier rows. A sparse block tests
         against the staircase alone, and first masks those cells with the
-        sentinel; with long runs the ranges are many times the block length
-        from the first row on, and a table would be pure cost. It cuts every
-        row into chunks of ``_CHUNK`` consecutive cells and drops each chunk
-        whose fewest b's reach the successor of its most a's; only the cells
-        of the other chunks are searched one by one. This is exact: the
-        successor b-count never falls as the a-count grows, so every cell of
-        a dropped chunk has at least its own successor's b-count, and the
-        per-cell test would reject it too.
+        sentinel; with long runs the ranges are many times the block length,
+        and a table would be pure cost. It cuts every row into chunks of
+        ``_CHUNK`` consecutive cells and drops each chunk whose fewest b's
+        reach the successor of its most a's; only the cells of the other
+        chunks are searched one by one. This is exact: the successor b-count
+        never falls as the a-count grows, so every cell of a dropped chunk
+        has at least its own successor's b-count, and the per-cell test
+        would reject it too.
         """
         np = self.np
         g, w = x.shape
         stair_x = np.frombuffer(mx, dtype=np.uint64)
         stair_y = np.frombuffer(my, dtype=np.uint64)
+
+        def successor(v: np.ndarray) -> np.ndarray:
+            return stair_y.take(stair_x.searchsorted(v))
+
         if self.dense:
             hi, width = self.range
-            table = np.empty((g, width), np.uint64)
-            values = hi - np.arange(width, dtype=np.uint64)
-            stair_y.take(stair_x.searchsorted(values), out=table[0])
+            table = np.full((g, width), stair_y[-1])
+            table[0] = successor(hi - np.arange(width, dtype=np.uint64))
             # Each cell's flat position in the table: row d starts at d * width.
             cells = (hi - x).view(np.intp)
-            if g > 1:
-                cells += np.arange(0, g * width, width)[:, None]
-                table[1:] = stair_y[-1]
-                # Each row's fewest b's per a-count, one table row down, then
-                # minima over more a's (fewer hi - v) and over earlier rows.
-                np.minimum.at(table[1:].ravel(), cells[:-1].ravel(), y[:-1].ravel())
-                np.minimum.accumulate(table, axis=1, out=table)
-                np.minimum.accumulate(table, axis=0, out=table)
+            cells += np.arange(0, g * width, width)[:, None]
+            # Each row's fewest b's per a-count, one table row down, then
+            # minima over more a's (fewer hi - v) and over earlier rows. Row 0
+            # already falls with hi - v, so a one-row table stays as it is.
+            np.minimum.at(table[1:].ravel(), cells[:-1].ravel(), y[:-1].ravel())
+            np.minimum.accumulate(table, axis=1, out=table)
+            np.minimum.accumulate(table, axis=0, out=table)
             return (table.take(cells) > y).ravel().nonzero()[0]
         for d in range(1, g):
             y[d, w - d :] = stair_y[-1]
         starts = np.arange(0, w, _CHUNK)
         most = np.maximum.reduceat(x, starts, axis=1)
         fewest = np.minimum.reduceat(y, starts, axis=1)
-        live = stair_y.take(stair_x.searchsorted(most)) > fewest
+        live = successor(most) > fewest
         cells = np.repeat(live, _CHUNK, axis=1)[:, :w].ravel().nonzero()[0]
-        x, y = x.take(cells), y.take(cells)
-        return cells[stair_y.take(stair_x.searchsorted(x)) > y]
+        return cells[successor(x.take(cells)) > y.take(cells)]
 
 
 def _spans(first_runs: Sequence[int], second: Sequence[int]) -> Iterator[ParikhVector]:

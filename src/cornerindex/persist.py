@@ -175,6 +175,18 @@ def _read(source: BinaryIO, size: int) -> bytes:
     return b"".join(chunks)
 
 
+def _read_header(source: BinaryIO, size: int) -> bytes:
+    """The next ``size`` bytes of a header. A stream may return fewer bytes
+    than asked before it ends (an unbuffered pipe), so a short read is
+    topped up by ``_read``; a full one is the only call."""
+    data = source.read(size)
+    if len(data) != size:
+        data += _read(source, size - len(data))
+        if len(data) != size:
+            raise CorruptIndexError("truncated header")
+    return data
+
+
 def _read_pairs(
     source: BinaryIO, count: int, name: str
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -315,9 +327,7 @@ def _index(l_min: CornerList, l_max: CornerList, peak_min: int, peak_max: int) -
 
 def _deserialize_v4(source: BinaryIO, prefix: bytes) -> CornerIndex:
     """The rest of a version 4 file after its 12-byte prefix."""
-    widths = source.read(len(_SLOTS))
-    if len(widths) != len(_SLOTS):
-        raise CorruptIndexError("truncated header")
+    widths = _read_header(source, len(_SLOTS))
     # Stripping the known widths leaves a byte only if one is unknown.
     if widths.strip(_WIDTH_BYTES):
         slot, bad = next((s, w) for s, w in zip(_SLOTS, widths) if w not in _CODES)
@@ -325,9 +335,7 @@ def _deserialize_v4(source: BinaryIO, prefix: bytes) -> CornerIndex:
             f"unknown {slot} width {bad}; widths are 1, 2, 4 or 8 bytes"
         )
     fields = _FIELDS[widths[0]]
-    raw = source.read(fields.size)
-    if len(raw) != fields.size:
-        raise CorruptIndexError("truncated header")
+    raw = _read_header(source, fields.size)
     k_min, k_max, peak_min, peak_max = fields.unpack(raw)
     columns = widths[1:]
     data, dxs_min, dys_max, l_min, l_max = _difference_lists(
@@ -340,7 +348,10 @@ def _deserialize_v4(source: BinaryIO, prefix: bytes) -> CornerIndex:
 
 def deserialize(source: BinaryIO) -> CornerIndex:
     """Read an index back, validating every structural invariant."""
+    # As in _read_header, but the magic is checked before the length.
     prefix = source.read(_PREFIX.size)
+    if len(prefix) != _PREFIX.size:
+        prefix += _read(source, _PREFIX.size - len(prefix))
     if prefix[:8] != MAGIC:
         raise IndexFormatError("bad magic; not a corner-index file")
     if len(prefix) != _PREFIX.size:
@@ -350,9 +361,7 @@ def deserialize(source: BinaryIO) -> CornerIndex:
         return _deserialize_v4(source, prefix)
     if version not in (1, 2, 3):
         raise IndexFormatError(f"unsupported format version {version}")
-    head = prefix + source.read(_HEADER.size - _PREFIX.size)
-    if len(head) != _HEADER.size:
-        raise CorruptIndexError("truncated header")
+    head = prefix + _read_header(source, _HEADER.size - _PREFIX.size)
     _, _, n, total_a, total_b, k_min, k_max, peak_min, peak_max = _HEADER.unpack(head)
     if n != total_a + total_b:
         raise CorruptIndexError("letter totals do not sum to the text length")
@@ -366,9 +375,7 @@ def deserialize(source: BinaryIO) -> CornerIndex:
                 f"{total_b} allow at most {most}"
             )
     if version == 3:
-        widths = source.read(4)
-        if len(widths) != 4:
-            raise CorruptIndexError("truncated header")
+        widths = _read_header(source, 4)
         # Stripping the known widths leaves the first unknown one in front.
         unknown = widths.strip(_WIDTH_BYTES)
         if unknown:

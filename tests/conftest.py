@@ -18,8 +18,8 @@ EXAMPLE_PNF_A = "aaabbaabbaabbaabbb"
 EXAMPLE_PNF_B = "bbbaabbaaabbababaa"
 
 # Run lists (a_runs, b_runs) with counts near 2^61, 2^62 and 2^63; the last
-# two texts have the largest length allowed, 2^64 - 1. The last one's equal
-# runs make both sweeps' first rows narrow, so a block of all four rows
+# two texts have the largest length allowed, 2^64 - 1. In the last one, a
+# block of all four rows, as every block sweep forms first at block size 1,
 # would need a row table of about 1.5 * 2^64 cells.
 HUGE_RUNS = [
     ((1 << 62, (1 << 62) - 5, 3), (1 << 61, 7, 1 << 61)),

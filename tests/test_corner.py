@@ -322,11 +322,13 @@ def _run_list_run(rng):
 
 
 # Per mode: the block size, the range of run pairs, and how a-runs and
-# b-runs are drawn. Narrow runs keep a sweep dense; a first row whose
-# a-counts span more values than the sweep has run pairs starts it sparse;
-# long a-runs of two lengths start the l_min sweep dense and turn it sparse
-# once its blocks gather several rows; with more run pairs than two chunks,
-# sparse rows after the first span several chunks.
+# b-runs are drawn. Every sweep starts dense and turns sparse at its first
+# block whose row table is too wide. Narrow runs keep a sweep dense; wide
+# runs over a few run pairs turn it sparse at its first block; long a-runs
+# of two lengths keep the l_min sweep dense while its blocks are single rows
+# and turn it sparse once they gather several; with more run pairs than two
+# chunks, wide runs turn a sweep sparse within its first few blocks, and its
+# later sparse rows span several chunks.
 _PREFILTER_MODES = {
     "dense": (2, (8, 30), _narrow_run, _narrow_run),
     "sparse": (8, (3, 20), _wide_run, _wide_run),
@@ -451,6 +453,21 @@ class TestBatchedSweep:
         for sweep in _sweeps(rle):
             assert "chunked" in _block_kinds(*sweep)
         assert_matches_reference(rle)
+
+    def test_benchmark_shapes_pick_their_prefilter(self):
+        # 2,000 random runs over 10^6 characters, as bench/run.py's runs-long
+        # text is cut, form no dense block in either sweep (at 10^5
+        # characters the same cuts form dense ones); fair-coin text forms no
+        # sparse block.
+        rng = random.Random(2000)
+        n = 10 ** 6
+        cuts = sorted(rng.sample(range(1, n), 1999))
+        runs = [end - start for start, end in zip([0, *cuts], [*cuts, n])]
+        rle = RunLengthEncoding(tuple(runs[0::2]), tuple(runs[1::2]))
+        for sweep in _sweeps(rle):
+            assert not any(dense for dense, _, _ in _block_modes(*sweep))
+        for sweep in _sweeps(_shapes()["coin"]):
+            assert all(dense for dense, _, _ in _block_modes(*sweep))
 
     @given(run_lists(), st.sampled_from([1, 2, 3, 8, 64]))
     @settings(max_examples=200, deadline=None)

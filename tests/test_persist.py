@@ -595,6 +595,42 @@ class TestRejections:
             deserialize(io.BytesIO(b""))
 
 
+class Trickle(io.RawIOBase):
+    """An unbuffered stream over raw that returns at most ``step`` bytes a
+    read before it ends, as a pipe or a socket may."""
+
+    def __init__(self, raw, step):
+        self.rest, self.step = memoryview(bytes(raw)), step
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        n = min(len(buf), self.step, len(self.rest))
+        buf[:n] = self.rest[:n]
+        self.rest = self.rest[n:]
+        return n
+
+
+@pytest.mark.parametrize("step", [1, 3, 7])
+def test_short_reads(step):
+    # Files of every version load whole through a stream of short reads,
+    # and each cut of them gets the error a stream of full reads gives.
+    index = build_index(EXAMPLE)
+    for version in VERSIONS:
+        raw = example_bytes(version)
+        back = deserialize(Trickle(raw, step))
+        assert back == index
+        assert (back.peak_min, back.peak_max) == (index.peak_min, index.peak_max)
+        for cut in range(len(raw)):
+            with pytest.raises(ValueError) as full:
+                load(raw[:cut])
+            with pytest.raises(ValueError) as short:
+                deserialize(Trickle(raw[:cut], step))
+            assert (type(short.value), str(short.value)) == (
+                type(full.value), str(full.value))
+
+
 class TestSilentCorruption:
     """Rewriting the l_max entry (2, 5) as (1, 4), two counts, keeps the
     list monotone and inside the letter totals but turns bmax(2) from 5
