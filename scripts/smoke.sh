@@ -26,13 +26,14 @@ python3 bench/run.py --workload runs-long --trace 0 --seconds 1 | tail -n 1 |
 # fair-coin and with geometric runs; experiment draws its corpus as verify
 # does; pnf, query and build import their modules on demand, and a jsonl
 # build writes the same file and reports its size as `bytes`, which
-# file_size of the loaded index must equal; the format version 3 file of the
-# same index, written by the tests' reference writer, must give query and pnf
-# output byte-identical to the version 4 file's, since the writer no longer
-# makes version 3 files; a .cix file cut 3 bytes short must exit 2 as
-# truncated, one with a payload byte flipped must fail its checksum and exit
-# 2, and a sealed one whose corner lists cross, written by the reference
-# writer, must exit 2 at its first query and in pnf.
+# file_size of the loaded index must equal; the format version 1, 2 and 3
+# files of the same index, written by the tests' reference writer, must give
+# query and pnf output byte-identical to the version 4 file's, since the
+# writer makes only version 4 files and the loader reads all four; a .cix
+# file cut 3 bytes short must exit 2 as truncated, one with a payload byte
+# flipped must fail its checksum and exit 2, and a sealed one whose corner
+# lists cross, written by the reference writer, must exit 2 at its first
+# query and in pnf.
 python3 -m cornerindex verify --count 200 --length 48 --seed 7
 python3 -m cornerindex verify --count 60 --length 512 --seed 11
 python3 -m cornerindex verify --count 60 --length 512 --seed 11 --run-geometric 0.3
@@ -66,15 +67,19 @@ import sys
 sys.path.insert(0, "tests")
 from conftest import index_bytes
 from cornerindex.persist import load_index
-open(sys.argv[2], "wb").write(index_bytes(load_index(sys.argv[1]), 3))
-' "$dir/smoke.cix" "$dir/v3.cix"
+index = load_index(sys.argv[1])
+for version in (1, 2, 3):
+    open(f"{sys.argv[2]}/v{version}.cix", "wb").write(index_bytes(index, version))
+' "$dir/smoke.cix" "$dir"
 printf '1 1\n1500 1500\n40 2\n2 40\n' > "$dir/queries.txt"
-for name in smoke v3; do
+for name in smoke v1 v2 v3; do
   python3 -m cornerindex query --index "$dir/$name.cix" --input "$dir/queries.txt" --format jsonl > "$dir/$name.query"
   python3 -m cornerindex pnf --index "$dir/$name.cix" > "$dir/$name.pnf"
 done
-cmp "$dir/smoke.query" "$dir/v3.query"
-cmp "$dir/smoke.pnf" "$dir/v3.pnf"
+for name in v1 v2 v3; do
+  cmp "$dir/smoke.query" "$dir/$name.query"
+  cmp "$dir/smoke.pnf" "$dir/$name.pnf"
+done
 python3 -c 'import sys; raw = open(sys.argv[1], "rb").read(); open(sys.argv[2], "wb").write(raw[:-3])' "$dir/smoke.cix" "$dir/short.cix"
 status=0
 echo "1 1" | python3 -m cornerindex query --index "$dir/short.cix" 2> "$dir/short.err" || status=$?

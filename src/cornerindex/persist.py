@@ -53,6 +53,8 @@ bound; its part is played by the payload read, which takes at most 1 MiB at
 a time and stops where the stream ends: a header may claim any count, but
 nothing is allocated beyond what the stream holds, and a stream shorter
 than the claim raises "truncated l_min payload" (or l_max, or checksum).
+A read that returns None, as a non-blocking stream's does with nothing
+ready, ends the stream there.
 
 In versions 3 and 4, l_min's first a-count is pnf_a's first a-run, which is
 its longest, and each later a-count difference is another of its a-runs, so
@@ -177,9 +179,10 @@ def _read(source: BinaryIO, size: int) -> bytes:
 
 def _read_header(source: BinaryIO, size: int) -> bytes:
     """The next ``size`` bytes of a header. A stream may return fewer bytes
-    than asked before it ends (an unbuffered pipe), so a short read is
-    topped up by ``_read``; a full one is the only call."""
-    data = source.read(size)
+    than asked before it ends (an unbuffered pipe), or None (a non-blocking
+    one with nothing ready), so a short read is topped up by ``_read``,
+    which takes None as the end; a full one is the only call."""
+    data = source.read(size) or b""
     if len(data) != size:
         data += _read(source, size - len(data))
         if len(data) != size:
@@ -261,22 +264,6 @@ def _check_differences(dxs: tuple[int, ...], dys: tuple[int, ...], name: str) ->
         )
 
 
-def _difference_lists(
-    source: BinaryIO, head: bytes, widths: bytes, k_min: int, k_max: int
-) -> tuple[bytes, tuple[int, ...], tuple[int, ...], CornerList, CornerList]:
-    """l_min and l_max read as version 3 or 4 columns after ``head``, with
-    what ``_check_first_runs`` reads: the payload, l_min's a-count
-    differences and l_max's b-count differences."""
-    data, (dxs_min, dys_min, dxs_max, dys_max) = _read_columns(
-        source, head, widths, k_min, k_max
-    )
-    _check_differences(dxs_min, dys_min, "l_min")
-    _check_differences(dxs_max, dys_max, "l_max")
-    l_min = CornerList._unchecked(tuple(accumulate(dxs_min)), tuple(accumulate(dys_min)))
-    l_max = CornerList._unchecked(tuple(accumulate(dxs_max)), tuple(accumulate(dys_max)))
-    return data, dxs_min, dys_max, l_min, l_max
-
-
 def _exceeds_first(diffs: tuple[int, ...], tops: bytes, width: int) -> bool:
     """Does a value of diffs after the first exceed it? ``tops`` holds the
     most significant byte of each later value, as stored ``width`` bytes
@@ -316,40 +303,24 @@ def _check_first_runs(
     )
 
 
-def _index(l_min: CornerList, l_max: CornerList, peak_min: int, peak_max: int) -> CornerIndex:
-    """The index of two loaded lists; the constructor checks the anchors
-    that tie them together."""
-    try:
-        return CornerIndex(l_min, l_max, peak_min, peak_max)
-    except ValueError as exc:
-        raise CorruptIndexError(str(exc)) from None
-
-
-def _deserialize_v4(source: BinaryIO, prefix: bytes) -> CornerIndex:
-    """The rest of a version 4 file after its 12-byte prefix."""
-    widths = _read_header(source, len(_SLOTS))
-    # Stripping the known widths leaves a byte only if one is unknown.
-    if widths.strip(_WIDTH_BYTES):
-        slot, bad = next((s, w) for s, w in zip(_SLOTS, widths) if w not in _CODES)
+def _read_widths(source: BinaryIO, slots: tuple[str, ...]) -> bytes:
+    """The next width bytes, one for each of ``slots``, each checked to be
+    1, 2, 4 or 8; an unknown one is named by its slot."""
+    widths = _read_header(source, len(slots))
+    # Stripping the known widths leaves the first unknown one in front.
+    unknown = widths.strip(_WIDTH_BYTES)
+    if unknown:
         raise CorruptIndexError(
-            f"unknown {slot} width {bad}; widths are 1, 2, 4 or 8 bytes"
+            f"unknown {slots[widths.index(unknown[0])]} width {unknown[0]}; "
+            f"widths are 1, 2, 4 or 8 bytes"
         )
-    fields = _FIELDS[widths[0]]
-    raw = _read_header(source, fields.size)
-    k_min, k_max, peak_min, peak_max = fields.unpack(raw)
-    columns = widths[1:]
-    data, dxs_min, dys_max, l_min, l_max = _difference_lists(
-        source, prefix + widths + raw, columns, k_min, k_max
-    )
-    index = _index(l_min, l_max, peak_min, peak_max)
-    _check_first_runs(data, columns, dxs_min, dys_max)
-    return index
+    return widths
 
 
 def deserialize(source: BinaryIO) -> CornerIndex:
     """Read an index back, validating every structural invariant."""
     # As in _read_header, but the magic is checked before the length.
-    prefix = source.read(_PREFIX.size)
+    prefix = source.read(_PREFIX.size) or b""
     if len(prefix) != _PREFIX.size:
         prefix += _read(source, _PREFIX.size - len(prefix))
     if prefix[:8] != MAGIC:
@@ -357,34 +328,40 @@ def deserialize(source: BinaryIO) -> CornerIndex:
     if len(prefix) != _PREFIX.size:
         raise CorruptIndexError("truncated header")
     _, version = _PREFIX.unpack(prefix)
-    if version == 4:
-        return _deserialize_v4(source, prefix)
-    if version not in (1, 2, 3):
+    if version not in (1, 2, 3, 4):
         raise IndexFormatError(f"unsupported format version {version}")
-    head = prefix + _read_header(source, _HEADER.size - _PREFIX.size)
-    _, _, n, total_a, total_b, k_min, k_max, peak_min, peak_max = _HEADER.unpack(head)
-    if n != total_a + total_b:
-        raise CorruptIndexError("letter totals do not sum to the text length")
-    # Both lists are strictly increasing in both coordinates, with a-counts
-    # in 0..total_a and b-counts in 0..total_b.
-    most = min(total_a, total_b) + 1
-    for name, count in (("l_min", k_min), ("l_max", k_max)):
-        if count > most:
-            raise CorruptIndexError(
-                f"{name} claims {count} entries; letter totals {total_a} and "
-                f"{total_b} allow at most {most}"
-            )
-    if version == 3:
-        widths = _read_header(source, 4)
-        # Stripping the known widths leaves the first unknown one in front.
-        unknown = widths.strip(_WIDTH_BYTES)
-        if unknown:
-            raise CorruptIndexError(
-                f"unknown column width {unknown[0]}; widths are 1, 2, 4 or 8 bytes"
-            )
-        data, dxs_min, dys_max, l_min, l_max = _difference_lists(
-            source, head + widths, widths, k_min, k_max
+    if version == 4:
+        widths = _read_widths(source, _SLOTS)
+        fields = _FIELDS[widths[0]]
+        raw = _read_header(source, fields.size)
+        k_min, k_max, peak_min, peak_max = fields.unpack(raw)
+        head = prefix + widths + raw
+        widths = widths[1:]
+    else:
+        head = prefix + _read_header(source, _HEADER.size - _PREFIX.size)
+        _, _, n, total_a, total_b, k_min, k_max, peak_min, peak_max = _HEADER.unpack(head)
+        if n != total_a + total_b:
+            raise CorruptIndexError("letter totals do not sum to the text length")
+        # Both lists are strictly increasing in both coordinates, with
+        # a-counts in 0..total_a and b-counts in 0..total_b.
+        most = min(total_a, total_b) + 1
+        for name, count in (("l_min", k_min), ("l_max", k_max)):
+            if count > most:
+                raise CorruptIndexError(
+                    f"{name} claims {count} entries; letter totals {total_a} and "
+                    f"{total_b} allow at most {most}"
+                )
+        if version == 3:
+            widths = _read_widths(source, ("column",) * 4)
+            head += widths
+    if version >= 3:
+        data, (dxs_min, dys_min, dxs_max, dys_max) = _read_columns(
+            source, head, widths, k_min, k_max
         )
+        _check_differences(dxs_min, dys_min, "l_min")
+        _check_differences(dxs_max, dys_max, "l_max")
+        l_min = CornerList._unchecked(tuple(accumulate(dxs_min)), tuple(accumulate(dys_min)))
+        l_max = CornerList._unchecked(tuple(accumulate(dxs_max)), tuple(accumulate(dys_max)))
     else:
         if version == 1:
             xs_min, ys_min = _read_pairs(source, k_min, "l_min")
@@ -396,12 +373,17 @@ def deserialize(source: BinaryIO) -> CornerIndex:
             )
         l_min = _validated_list(xs_min, ys_min, "l_min")
         l_max = _validated_list(xs_max, ys_max, "l_max")
-    if l_min.xs[-1] != total_a:
-        raise CorruptIndexError("l_min does not end at the total a-count")
-    if l_max.ys[-1] != total_b:
-        raise CorruptIndexError("l_max does not end at the total b-count")
-    index = _index(l_min, l_max, peak_min, peak_max)
-    if version == 3:
+    if version < 4:
+        if l_min.xs[-1] != total_a:
+            raise CorruptIndexError("l_min does not end at the total a-count")
+        if l_max.ys[-1] != total_b:
+            raise CorruptIndexError("l_max does not end at the total b-count")
+    # The constructor checks the anchors that tie the two lists together.
+    try:
+        index = CornerIndex(l_min, l_max, peak_min, peak_max)
+    except ValueError as exc:
+        raise CorruptIndexError(str(exc)) from None
+    if version >= 3:
         _check_first_runs(data, widths, dxs_min, dys_max)
     return index
 

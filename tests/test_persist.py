@@ -467,6 +467,23 @@ class TestRejections:
                 with pytest.raises(CorruptIndexError, match=f"^unknown {name} width {bad};"):
                     load(raw)
 
+    def test_unknown_widths_name_the_first(self):
+        # with two unknown width bytes, the error names the first of them,
+        # and in version 4 its slot, whichever of the two values comes first
+        slots = {3: ("column",) * 4,
+                 4: ("header field", "l_min a-count column", "l_min b-count column",
+                     "l_max a-count column", "l_max b-count column")}
+        for version, start in ((3, 68), (4, 12)):
+            for (first, second), (a, b) in itertools.product(
+                itertools.combinations(range(len(slots[version])), 2),
+                itertools.permutations((3, 16)),
+            ):
+                raw = example_bytes(version)
+                raw[start + first], raw[start + second] = a, b
+                name = slots[version][first]
+                with pytest.raises(CorruptIndexError, match=f"^unknown {name} width {a};"):
+                    load(raw)
+
     def test_count_beyond_file_size_version_4(self, tmp_path):
         # version 4 stores no totals to bound an entry count: a header with
         # 8-byte fields claiming 2^58 entries, followed by the example's 18
@@ -628,6 +645,44 @@ def test_short_reads(step):
             with pytest.raises(ValueError) as short:
                 deserialize(Trickle(raw[:cut], step))
             assert (type(short.value), str(short.value)) == (
+                type(full.value), str(full.value))
+
+
+class Stall(io.RawIOBase):
+    """An unbuffered stream over raw whose reads return None once raw is
+    served, as a non-blocking stream does when no data is ready."""
+
+    def __init__(self, raw):
+        self.rest = memoryview(bytes(raw))
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        if not self.rest:
+            return None
+        n = min(len(buf), len(self.rest))
+        buf[:n] = self.rest[:n]
+        self.rest = self.rest[n:]
+        return n
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["raw", "buffered"])
+def test_stalled_reads(buffered):
+    # A stream that stalls after k bytes of a file of any version fails as
+    # the file cut to k bytes does, bare or under a BufferedReader, and one
+    # that stalls after the whole file loads it.
+    index = build_index(EXAMPLE)
+    wrap = io.BufferedReader if buffered else (lambda stream: stream)
+    for version in VERSIONS:
+        raw = example_bytes(version)
+        assert deserialize(wrap(Stall(raw))) == index
+        for cut in range(len(raw)):
+            with pytest.raises(ValueError) as full:
+                load(raw[:cut])
+            with pytest.raises(ValueError) as stalled:
+                deserialize(wrap(Stall(raw[:cut])))
+            assert (type(stalled.value), str(stalled.value)) == (
                 type(full.value), str(full.value))
 
 
