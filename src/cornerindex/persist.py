@@ -70,10 +70,11 @@ that table first, so it never writes such lists.
 
 from __future__ import annotations
 
+import io
 import struct
 import zlib
 from itertools import accumulate
-from operator import mul, sub
+from operator import sub
 from typing import BinaryIO
 
 from .corner import CornerIndex, CornerList, CorruptIndexError
@@ -133,17 +134,11 @@ def _columns(index: CornerIndex) -> tuple[list[tuple[int, ...]], bytes]:
     return columns, bytes(_width(max(col)) for col in columns)
 
 
-def _fields(index: CornerIndex) -> tuple[int, int, int, int]:
-    """The four version 4 header fields of index."""
-    return len(index.l_min), len(index.l_max), index.peak_min, index.peak_max
-
-
 def file_size(index: CornerIndex) -> int:
-    """Exact byte size serialize() will produce for this index."""
-    columns, widths = _columns(index)
-    payload = sum(map(mul, widths, map(len, columns)))
-    fields = 4 * _width(max(_fields(index)))
-    return _PREFIX.size + 1 + len(widths) + fields + payload + _CRC.size
+    """Exact byte size serialize() will produce for this index: the size
+    of the bytes it writes to memory. Raises CorruptIndexError, as
+    serialize() does, if the lists cross."""
+    return serialize(index, io.BytesIO())
 
 
 def serialize(index: CornerIndex, sink: BinaryIO) -> int:
@@ -152,7 +147,7 @@ def serialize(index: CornerIndex, sink: BinaryIO) -> int:
     first lookup does, if its lists cross."""
     index._segments  # the lookup table, whose merge refuses crossed lists
     columns, widths = _columns(index)
-    fields = _fields(index)
+    fields = len(index.l_min), len(index.l_max), index.peak_min, index.peak_max
     wh = _width(max(fields))
     head = (_PREFIX.pack(MAGIC, FORMAT_VERSION) + bytes((wh,)) + widths
             + _FIELDS[wh].pack(*fields))

@@ -8,7 +8,10 @@ pnf_a's b-run prefix sums; l_max gives pnf_b the same way after swapping the
 roles of the two letters (Fici and Lipták, "On prefix normal words"). The
 walk that reads the runs off a corner list lives in ``corner.py``, next to
 ``CornerIndex.length_tables``, whose tables are the a-counts of the two
-forms' prefixes.
+forms' prefixes. Each form is also fixed by one staircase: the i-th a of
+pnf_a follows exactly bmin(i) b's and the (i + 1)-th a of pnf_b bmax(i)
+b's, which is how ``verify_pnf_relations`` rebuilds both from the index's
+lookup table.
 
 Run counting convention: with runs in padded form (a leading zero a-run or a
 trailing zero b-run kept so runs pair up), pnf_a of a non-empty string always
@@ -18,8 +21,6 @@ the empty string has no runs at all.
 """
 
 from __future__ import annotations
-
-from itertools import accumulate
 
 from .corner import CornerIndex, _pnf_runs
 from .rle import _Record
@@ -51,32 +52,29 @@ def pnf_from_index(index: CornerIndex) -> PnfPair:
 
 
 def verify_pnf_relations(index: CornerIndex, pnfs: PnfPair) -> bool:
-    """Check the identities tying the normal forms back to the index.
+    """Check both normal forms against the index's bmin and bmax.
 
-    For every length m the a-count of pnf_a's m-prefix must equal the
-    richest a-count over length-m substrings; the position of the i-th a in
-    pnf_a locates the minimal-b staircase, and the position of the i+1-th a
-    in pnf_b the maximal-b staircase (whose final value is the b total).
-    Forms of the wrong length or with other than total_a a's fail. One scan
-    of each string, plus a binary search per a for bmin and bmax.
+    The i-th a of pnf_a must follow exactly bmin(i) b's, for i = 1 to
+    total_a, and the (i + 1)-th a of pnf_b exactly bmax(i) b's, for i = 0
+    to total_a - 1; each form then closes with b's up to total_b. Both
+    bounds are constant on each segment of the lookup table that ``query``
+    answers from, so the check rebuilds the two forms in one pass over the
+    segments and costs that plus two string comparisons. Forms of the
+    wrong length, with a misplaced letter, or with a letter other than a
+    or b fail. Raises CorruptIndexError, as the index's first lookup does,
+    if the lists cross.
     """
-    from array import array  # here, so that `pnf --index` does not load it
-
-    pnf_a, pnf_b = pnfs.pnf_a, pnfs.pnf_b
-    n, total_a = index.n, index.total_a
-    if len(pnf_a) != n or len(pnf_b) != n:
-        return False
-    a_counts = array("Q", accumulate(map("a".__eq__, pnf_a), initial=0))
-    if a_counts != index.length_tables().max_a:
-        return False
-    where_a = [p for p, c in enumerate(pnf_a, 1) if c == "a"]
-    where_b = [p for p, c in enumerate(pnf_b, 1) if c == "a"]
-    if len(where_a) != total_a or len(where_b) != total_a:
-        return False
-    if index.bmin(0) != 0:
-        return False
-    if any(index.bmin(i) != p - i for i, p in enumerate(where_a, 1)):
-        return False
-    if any(index.bmax(i) != p - (i + 1) for i, p in enumerate(where_b)):
-        return False
-    return index.bmax(total_a) == index.total_b
+    starts, low, high = index._segments
+    total_a, total_b = index.total_a, index.total_b
+    forms = []
+    # Row i of the table covers a-counts starts[i - 1]..starts[i] - 1; pnf_a
+    # places the a's of counts 1..total_a, pnf_b those of 0..total_a - 1.
+    for bounds, first in ((low, 1), (high, 0)):
+        parts, b_count = [], 0
+        for start, end, bound in zip(starts, starts[1:], bounds[1:]):
+            a_count = min(end, total_a + first) - max(start, first)
+            parts.append("b" * (bound - b_count) + "a" * a_count)
+            b_count = bound
+        parts.append("b" * (total_b - b_count))
+        forms.append("".join(parts))
+    return [pnfs.pnf_a, pnfs.pnf_b] == forms

@@ -28,7 +28,7 @@ from conftest import (
 from cornerindex.build import build_index, index_from_rle
 from cornerindex.cli import main
 from cornerindex.corner import CornerIndex, CornerList
-from cornerindex.pnf import pnf_from_index
+from cornerindex.pnf import PnfPair, pnf_from_index, verify_pnf_relations
 from cornerindex.rle import RunLengthEncoding
 from cornerindex.textgen import coin_string, geometric_run_string
 from cornerindex.persist import (
@@ -168,9 +168,9 @@ CROSSED = [
 @pytest.mark.parametrize("version", (None, *VERSIONS))
 def test_crossed_lists_are_refused(version, l_min, l_max, crossing):
     # Built directly (version None) or loaded from a file of any version,
-    # the index exists; every lookup, serialize, length_tables and
-    # pnf_from_index then refuse it, at any x, naming the smallest crossing
-    # x and both bounds.
+    # the index exists; every lookup, serialize, file_size, length_tables,
+    # pnf_from_index and verify_pnf_relations then refuse it, at any x,
+    # naming the smallest crossing x and both bounds.
     if version is None:
         index = CornerIndex(CornerList(l_min), CornerList(l_max))
     else:
@@ -183,7 +183,9 @@ def test_crossed_lists_are_refused(version, l_min, l_max, crossing):
     for refused in (lambda: index.query(0, 0), lambda: index.query(x, high),
                     lambda: index.query_many([0], [0]), lambda: index.bmin(0),
                     lambda: index.bmax(index.total_a), lambda: serialized(index),
-                    lambda: index.length_tables(), lambda: pnf_from_index(index)):
+                    lambda: file_size(index), lambda: index.length_tables(),
+                    lambda: pnf_from_index(index),
+                    lambda: verify_pnf_relations(index, PnfPair("", ""))):
         with pytest.raises(CorruptIndexError, match=message):
             refused()
 

@@ -58,6 +58,34 @@ class TestNormalForms:
         assert not verify_pnf_relations(idx, PnfPair(good.pnf_a, "b" * 18))
         # right length and a-positions, but one a too many
         assert not verify_pnf_relations(build_index("b"), PnfPair("b", "a"))
+        # the right a's, with every other letter spelled otherwise
+        foreign = PnfPair(good.pnf_a.replace("b", "c"), good.pnf_b.replace("b", "x"))
+        assert not verify_pnf_relations(idx, foreign)
+
+        # every string of length <= 8: the true pair passes, and every
+        # one-letter flip, adjacent swap that changes a form, form one
+        # letter short or one b longer, and swap of differing forms fails
+        def near_misses(form):
+            for i, c in enumerate(form):
+                yield form[:i] + "ab"[c == "a"] + form[i + 1:]
+            for i in range(len(form) - 1):
+                if form[i] != form[i + 1]:
+                    yield form[:i] + form[i + 1] + form[i] + form[i + 2:]
+            if form:
+                yield form[:-1]
+            yield form + "b"
+
+        for text in all_binary_strings(8):
+            idx = build_index(text)
+            good = pnf_from_index(idx)
+            a, b = good.pnf_a, good.pnf_b
+            assert verify_pnf_relations(idx, PnfPair(a, b)), text
+            wrong = [PnfPair(v, b) for v in near_misses(a)]
+            wrong += [PnfPair(a, v) for v in near_misses(b)]
+            if a != b:
+                wrong.append(PnfPair(b, a))
+            for pair in wrong:
+                assert not verify_pnf_relations(idx, pair), (text, pair)
 
     def test_long_text(self):
         # n = 200,000 in 40 runs: the relations check is linear, and the

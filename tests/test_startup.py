@@ -48,6 +48,16 @@ assert "pnf_from_index" in vars(cornerindex)
 assert not {"cornerindex.build", "cornerindex.oracle"} & set(sys.modules)
 """
 
+# verify's texts of up to 48 characters take the plain-int sweep, and its
+# PNF-relation check reads the lookup table, so nothing loads numpy.
+_VERIFY = """
+import sys
+from cornerindex.cli import main
+code = main(["verify", "--count", "20", "--length", "48", "--seed", "7"])
+assert "numpy" not in sys.modules
+sys.exit(code)
+"""
+
 
 def _child(script: str, *args: str) -> subprocess.CompletedProcess:
     """Run ``script`` in a fresh interpreter without ``site``, whose extra
@@ -65,6 +75,12 @@ def test_serving_imports_only_what_it_runs(tmp_path):
     out = _child(_SERVE, index, str(queries), *_NOT_FOR_SERVING)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [EXAMPLE_PNF_A, EXAMPLE_PNF_B, "3\t3\t1", "5\t1\t0"]
+
+
+def test_verify_runs_without_numpy():
+    out = _child(_VERIFY)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "verified 20 strings, 0 failing checks\n"
 
 
 def test_exports_resolve_on_first_use():
