@@ -31,9 +31,10 @@ python3 bench/run.py --workload runs-long --trace 0 --seconds 1 | tail -n 1 |
 # query and pnf output byte-identical to the version 4 file's, since the
 # writer makes only version 4 files and the loader reads all four; a .cix
 # file cut 3 bytes short must exit 2 as truncated, one with a payload byte
-# flipped must fail its checksum and exit 2, and a sealed one whose corner
+# flipped must fail its checksum and exit 2, a sealed one whose corner
 # lists cross, written by the reference writer, must exit 2 at its first
-# query and in pnf.
+# query and in pnf, and pnf on a sealed one that claims a text of 2^60
+# characters must exit 2 out of memory, with nothing on stdout.
 python3 -m cornerindex verify --count 200 --length 48 --seed 7
 python3 -m cornerindex verify --count 60 --length 512 --seed 11
 python3 -m cornerindex verify --count 60 --length 512 --seed 11 --run-geometric 0.3
@@ -97,7 +98,8 @@ import sys
 sys.path.insert(0, "tests")
 from conftest import cix_bytes
 open(sys.argv[1], "wb").write(cix_bytes(4, 7, 3, 4, [(1, 0), (2, 3), (3, 4)], [(0, 2), (3, 4)], 3, 2))
-' "$dir/crossed.cix"
+open(sys.argv[2], "wb").write(cix_bytes(4, 0, 0, 0, [(2**60, 0)], [(0, 1)], 1, 1))
+' "$dir/crossed.cix" "$dir/huge.cix"
 status=0
 echo "1 1" | python3 -m cornerindex query --index "$dir/crossed.cix" 2> "$dir/crossed.err" || status=$?
 cat "$dir/crossed.err"
@@ -108,3 +110,9 @@ python3 -m cornerindex pnf --index "$dir/crossed.cix" 2> "$dir/crossed.err" || s
 cat "$dir/crossed.err"
 test "$status" -eq 2
 grep -q cross "$dir/crossed.err"
+status=0
+python3 -m cornerindex pnf --index "$dir/huge.cix" > "$dir/huge.out" 2> "$dir/huge.err" || status=$?
+cat "$dir/huge.err"
+test "$status" -eq 2
+grep -q "out of memory" "$dir/huge.err"
+test ! -s "$dir/huge.out"

@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Subcommands: build, query, pnf, verify, experiment, bench. Exit codes:
-0 success, 1 verification failure, 2 usage or input-format error.
+0 success, 1 verification failure, 2 usage or input-format error, or input
+or output too large for memory. Commands raise their failures and ``main``
+alone turns each into a one-line message and exit 2; only ``query``
+reports its malformed lines itself, as it answers the others.
 
 A command-line start imports only what its subcommand runs: the
 construction sweep is imported by ``build``, ``pnf --input``, ``verify``
@@ -30,6 +33,11 @@ EXIT_USAGE = 2
 
 _TO_AB = str.maketrans("01", "ab")
 _FROM_AB = str.maketrans("ab", "01")
+
+
+class _UsageError(Exception):
+    """A command line that asks for something out of range; ``main``
+    prints the message as it stands and exits 2."""
 
 
 def _read_text(path: str, alphabet: str) -> str:
@@ -185,8 +193,7 @@ def cmd_pnf(args) -> int:
     from .pnf import pnf_from_index
 
     if (args.input is None) == (args.index is None):
-        print("pnf: provide exactly one of --input or --index", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("pnf: provide exactly one of --input or --index")
     if args.input is not None:
         from .build import build_index
 
@@ -199,24 +206,21 @@ def cmd_pnf(args) -> int:
     return EXIT_OK
 
 
-def _corpus(args, draw_lengths: bool) -> list[str] | None:
+def _corpus(args, draw_lengths: bool) -> list[str]:
     """The texts ``verify`` or ``experiment`` reads: the --input text, or
     --count random ones of --length characters, or of a length drawn in
     1..--length each when ``draw_lengths``. Characters are fair coin flips,
-    or alternating runs with --run-geometric. None, after a usage message,
-    when the count, the length or the run parameter is out of range."""
+    or alternating runs with --run-geometric. Raises _UsageError when the
+    count, the length or the run parameter is out of range."""
     if args.input is not None:
         return [_read_text(args.input, args.alphabet)]
     command, p = args.command, args.run_geometric
     if args.count < 1:
-        print(f"{command}: --count must be at least 1", file=sys.stderr)
-        return None
+        raise _UsageError(f"{command}: --count must be at least 1")
     if args.length < 1:
-        print(f"{command}: --length must be at least 1", file=sys.stderr)
-        return None
+        raise _UsageError(f"{command}: --length must be at least 1")
     if p is not None and not 0.0 < p <= 1.0:
-        print(f"{command}: --run-geometric must be in (0, 1], got {p}", file=sys.stderr)
-        return None
+        raise _UsageError(f"{command}: --run-geometric must be in (0, 1], got {p}")
     import random
 
     from .textgen import coin_string, geometric_run_string
@@ -252,30 +256,22 @@ def _verify_one(text: str, max_n: int) -> list[tuple[str, bool]]:
 
 
 def cmd_verify(args) -> int:
-    from .oracle import DEFAULT_MAX_TEXT, TextTooLongError
+    from .oracle import DEFAULT_MAX_TEXT
 
     if (args.input is None) == (args.count is None):
-        print("verify: provide exactly one of --input or --count", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("verify: provide exactly one of --input or --count")
     if args.input is None and args.length is None:
-        print("verify: --count requires --length", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("verify: --count requires --length")
     texts = _corpus(args, draw_lengths=True)
-    if texts is None:
-        return EXIT_USAGE
     max_n = DEFAULT_MAX_TEXT if args.max_oracle_n is None else args.max_oracle_n
     failures = 0
-    try:
-        for i, text in enumerate(texts):
-            for name, ok in _verify_one(text, max_n):
-                if not ok:
-                    failures += 1
-                    print(f"string {i}: {name}: FAIL")
-                elif len(texts) == 1:
-                    print(f"{name}: PASS")
-    except TextTooLongError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    for i, text in enumerate(texts):
+        for name, ok in _verify_one(text, max_n):
+            if not ok:
+                failures += 1
+                print(f"string {i}: {name}: FAIL")
+            elif len(texts) == 1:
+                print(f"{name}: PASS")
     if len(texts) > 1:
         print(f"verified {len(texts)} strings, {failures} failing checks")
     return EXIT_VERIFY_FAILED if failures else EXIT_OK
@@ -285,8 +281,6 @@ def cmd_experiment(args) -> int:
     from .build import index_from_rle
 
     texts = _corpus(args, draw_lengths=False)
-    if texts is None:
-        return EXIT_USAGE
     rows = [dict(_size_fields(rle, index_from_rle(rle))) for rle in map(encode, texts)]
     if args.format == "jsonl":
         import json
@@ -322,8 +316,7 @@ def cmd_bench(args) -> int:
     import random
 
     if args.count < 1:
-        print("bench: --count must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("bench: --count must be at least 1")
     index = load_index(args.index)
     rng = random.Random(args.seed)
     queries = [
@@ -438,10 +431,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
     except (InputFormatError, IndexFormatError, CorruptIndexError, OSError) as exc:
-        # verify reports the oracle's TextTooLongError so too, itself
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -45,7 +45,9 @@ ParikhVector = tuple[int, int]
 
 
 class CorruptIndexError(ValueError):
-    """Crossed corner lists, or an inconsistent corner-index file."""
+    """Crossed corner lists, or an inconsistent corner-index file. The
+    ``CornerIndex`` constructor raises it for an empty list or an anchor
+    that does not hold, and the first lookup for lists that cross."""
 
 
 class CornerList(Sequence):
@@ -177,12 +179,13 @@ class CornerIndex(_Record):
 
     Carries both corner lists, which fix the letter totals (``total_a`` is
     l_min's last a-count, ``total_b`` l_max's last b-count) and ``n``; the
-    constructor raises ValueError when the lists' anchors disagree. These
-    derived fields, and the construction instrumentation peak_* and
-    inspected_* (largest working-list size reached, candidates examined),
-    are excluded from equality. The instrumentation is stored as unsigned
-    64-bit words, so the constructor raises ValueError naming the field
-    when one is not an int in 0..2**64 - 1.
+    constructor raises CorruptIndexError when a list is empty or the lists'
+    anchors disagree. These derived fields, and the construction
+    instrumentation peak_* and inspected_* (largest working-list size
+    reached, candidates examined), are excluded from equality. The
+    instrumentation is stored as unsigned 64-bit words, so the constructor
+    raises ValueError naming the field when one is not an int in
+    0..2**64 - 1.
     """
 
     _fields = ("l_min", "l_max", "peak_min", "peak_max", "inspected_min",
@@ -214,17 +217,17 @@ class CornerIndex(_Record):
         xs_min, ys_min = l_min._xs, l_min._ys
         xs_max, ys_max = l_max._xs, l_max._ys
         if not xs_min or not xs_max:
-            raise ValueError("corner lists must not be empty")
+            raise CorruptIndexError("corner lists must not be empty")
         total_a = xs_min[-1]
         total_b = ys_max[-1]
         if ys_min[0] != 0:
-            raise ValueError("l_min does not start at b-count zero")
+            raise CorruptIndexError("l_min does not start at b-count zero")
         if ys_min[-1] > total_b:
-            raise ValueError("l_min b-count exceeds the total")
+            raise CorruptIndexError("l_min b-count exceeds the total")
         if xs_max[0] != 0:
-            raise ValueError("l_max does not start at a-count zero")
+            raise CorruptIndexError("l_max does not start at a-count zero")
         if xs_max[-1] > total_a:
-            raise ValueError("l_max a-count exceeds the total")
+            raise CorruptIndexError("l_max a-count exceeds the total")
         self.__dict__.update(
             l_min=l_min, l_max=l_max, peak_min=peak_min, peak_max=peak_max,
             inspected_min=inspected_min, inspected_max=inspected_max,

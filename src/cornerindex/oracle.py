@@ -10,7 +10,10 @@ than a safety bound (default 4096) rather than silently burning CPU.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import accumulate, groupby
 from typing import NamedTuple, Sequence
+
+from .rle import InputFormatError
 
 __all__ = [
     "DEFAULT_MAX_TEXT",
@@ -26,7 +29,7 @@ __all__ = [
 DEFAULT_MAX_TEXT = 4096
 
 
-class TextTooLongError(ValueError):
+class TextTooLongError(InputFormatError):
     """Raised when a text exceeds the brute-force safety bound."""
 
 
@@ -123,45 +126,25 @@ def sliding_window_query(s: str, q: Sequence[int]) -> bool:
 def verify_interval_lemma(s: str, max_n: int = DEFAULT_MAX_TEXT) -> bool:
     """For every substring length m, the achievable a-counts must form a
     contiguous interval. Checked directly against the brute-force set."""
-    pi = parikh_set_bruteforce(s, max_n)
-    spans: dict[int, list[int]] = {}
-    for x, y in pi:
-        rec = spans.setdefault(x + y, [x, x, 0])
-        rec[0] = min(rec[0], x)
-        rec[1] = max(rec[1], x)
-        rec[2] += 1
-    return all(hi - lo + 1 == cnt for lo, hi, cnt in spans.values())
-
-
-def _runs(s: str) -> list[tuple[str, int]]:
-    out: list[tuple[str, int]] = []
-    i = 0
-    n = len(s)
-    while i < n:
-        j = i + 1
-        while j < n and s[j] == s[i]:
-            j += 1
-        out.append((s[i], j - i))
-        i = j
-    return out
+    a_counts: dict[int, list[int]] = {}
+    for x, y in parikh_set_bruteforce(s, max_n):
+        a_counts.setdefault(x + y, []).append(x)
+    # The set holds each a-count of a length once.
+    return all(max(xs) - min(xs) + 1 == len(xs) for xs in a_counts.values())
 
 
 def _span_vectors(s: str, letter: str) -> list[tuple[int, int]]:
     """Parikh vectors of all substrings that start and end with a complete
     run of ``letter`` (the empty substring counts as such a span)."""
-    runs = _runs(s)
-    pa = [0]
-    pb = [0]
-    for ch, ln in runs:
-        pa.append(pa[-1] + (ln if ch == "a" else 0))
-        pb.append(pb[-1] + (ln if ch == "b" else 0))
+    runs = [(ch, len(list(group))) for ch, group in groupby(s)]
+    pa = list(accumulate((ln if ch == "a" else 0 for ch, ln in runs), initial=0))
+    pb = list(accumulate((ln if ch == "b" else 0 for ch, ln in runs), initial=0))
     idx = [k for k, (ch, _) in enumerate(runs) if ch == letter]
-    out = [(0, 0)]
-    for ii in range(len(idx)):
-        for jj in range(ii, len(idx)):
-            k1, k2 = idx[ii], idx[jj]
-            out.append((pa[k2 + 1] - pa[k1], pb[k2 + 1] - pb[k1]))
-    return out
+    return [(0, 0)] + [
+        (pa[k2 + 1] - pa[k1], pb[k2 + 1] - pb[k1])
+        for i, k1 in enumerate(idx)
+        for k2 in idx[i:]
+    ]
 
 
 def lemma1_witness_check(s: str, max_n: int = DEFAULT_MAX_TEXT) -> bool:
@@ -172,20 +155,11 @@ def lemma1_witness_check(s: str, max_n: int = DEFAULT_MAX_TEXT) -> bool:
     pi = parikh_set_bruteforce(s, max_n)
 
     wa = sorted(_span_vectors(s, "a"))
-    xs_a = [p[0] for p in wa]
-    suffix_min_y = [0] * len(wa)
-    best = None
-    for i in range(len(wa) - 1, -1, -1):
-        best = wa[i][1] if best is None else min(best, wa[i][1])
-        suffix_min_y[i] = best
-
+    xs_a = [x for x, _ in wa]
+    suffix_min_y = list(accumulate((y for _, y in reversed(wa)), min))[::-1]
     wb = sorted(_span_vectors(s, "b"))
-    xs_b = [p[0] for p in wb]
-    prefix_max_y = [0] * len(wb)
-    best = None
-    for i in range(len(wb)):
-        best = wb[i][1] if best is None else max(best, wb[i][1])
-        prefix_max_y[i] = best
+    xs_b = [x for x, _ in wb]
+    prefix_max_y = list(accumulate((y for _, y in wb), max))
 
     for x, y in pi:
         i = bisect_left(xs_a, x)

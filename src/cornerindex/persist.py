@@ -374,10 +374,7 @@ def deserialize(source: BinaryIO) -> CornerIndex:
         if l_max.ys[-1] != total_b:
             raise CorruptIndexError("l_max does not end at the total b-count")
     # The constructor checks the anchors that tie the two lists together.
-    try:
-        index = CornerIndex(l_min, l_max, peak_min, peak_max)
-    except ValueError as exc:
-        raise CorruptIndexError(str(exc)) from None
+    index = CornerIndex(l_min, l_max, peak_min, peak_max)
     if version >= 3:
         _check_first_runs(data, widths, dxs_min, dys_max)
     return index

@@ -22,6 +22,8 @@ the empty string has no runs at all.
 
 from __future__ import annotations
 
+import sys
+
 from .corner import CornerIndex, _pnf_runs
 from .rle import _Record
 
@@ -39,8 +41,12 @@ class PnfPair(_Record):
 
 def pnf_from_index(index: CornerIndex) -> PnfPair:
     """Materialize both prefix normal forms from the corner lists; raise
-    CorruptIndexError, as the index's first lookup does, if they cross."""
+    CorruptIndexError, as the index's first lookup does, if they cross, and
+    MemoryError if the forms do not fit in memory."""
     index._segments  # the lookup table, whose merge refuses crossed lists
+    # No str is longer than sys.maxsize; "a" * n would raise OverflowError.
+    if index.n > sys.maxsize:
+        raise MemoryError(f"prefix normal forms of {index.n} characters")
     l_min, l_max = index.l_min, index.l_max
     pnf_a = "".join(
         "a" * u + "b" * v for u, v in _pnf_runs(l_min.xs, l_min.ys, index.total_b)

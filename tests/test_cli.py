@@ -16,7 +16,10 @@ from conftest import EXAMPLE, EXAMPLE_PNF_A, EXAMPLE_PNF_B, cix_bytes
 from cornerindex import build, cli
 from cornerindex.build import build_index
 from cornerindex.cli import main
+from cornerindex.corner import CornerIndex, CornerList, CorruptIndexError
+from cornerindex.oracle import TextTooLongError
 from cornerindex.persist import load_index, save_index, serialize
+from cornerindex.rle import InputFormatError
 from cornerindex.textgen import coin_string
 
 
@@ -359,6 +362,60 @@ def test_crossed_index(capsys, monkeypatch, tmp_path, command):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: corner lists cross: bmin(2) = 3 > bmax(2) = 2\n"
+
+
+# Every way a command fails: its arguments, and what it must print on
+# stderr; "{dir}" stands for the directory of the failure_files fixture.
+_FAILURES = {
+    "pnf-sources": (["pnf"], "pnf: provide exactly one of --input or --index"),
+    "count": (["experiment", "--count", "0"], "experiment: --count must be at least 1"),
+    "length": (["verify", "--count", "3", "--length", "0"],
+               "verify: --length must be at least 1"),
+    "run-geometric": (["experiment", "--run-geometric", "1.5"],
+                      "experiment: --run-geometric must be in (0, 1], got 1.5"),
+    "verify-sources": (["verify"], "verify: provide exactly one of --input or --count"),
+    "verify-length": (["verify", "--count", "3"], "verify: --count requires --length"),
+    "bench-count": (["bench", "--index", "{dir}/text.cix", "--count", "0"],
+                    "bench: --count must be at least 1"),
+    "oracle-bound": (["verify", "--input", "{dir}/long.txt"],
+                     "error: text of length 5000 exceeds the brute-force bound 4096"),
+    "missing-index": (["query", "--index", "{dir}/missing.cix"],
+                      "error: [Errno 2] No such file or directory: '{dir}/missing.cix'"),
+    "truncated": (["pnf", "--index", "{dir}/short.cix"], "error: truncated checksum"),
+    "crossed": (["pnf", "--index", "{dir}/crossed.cix"],
+                "error: corner lists cross: bmin(2) = 3 > bmax(2) = 2"),
+    # a few bytes that claim a text of 2^60 or 2^63 characters
+    "pnf-2^60": (["pnf", "--index", "{dir}/2^60.cix"], "error: out of memory"),
+    "pnf-2^63": (["pnf", "--index", "{dir}/2^63.cix"], "error: out of memory"),
+}
+
+
+@pytest.fixture
+def failure_files(tmp_path):
+    (tmp_path / "long.txt").write_text("a" * 2500 + "b" * 2500)
+    save_index(build_index(EXAMPLE), str(tmp_path / "text.cix"))
+    (tmp_path / "short.cix").write_bytes((tmp_path / "text.cix").read_bytes()[:-3])
+    (tmp_path / "crossed.cix").write_bytes(
+        cix_bytes(4, 7, 3, 4, [(1, 0), (2, 3), (3, 4)], [(0, 2), (3, 4)], 3, 2))
+    for e in (60, 63):
+        (tmp_path / f"2^{e}.cix").write_bytes(cix_bytes(4, 0, 0, 0, [(2**e, 0)], [(0, 1)], 1, 1))
+    return str(tmp_path)
+
+
+@pytest.mark.parametrize("argv, message", _FAILURES.values(), ids=_FAILURES)
+def test_every_failure_leaves_through_main(capsys, monkeypatch, failure_files, argv, message):
+    monkeypatch.setattr(sys, "stdin", _stdin(b"1 1\n"))
+    assert main([arg.format(dir=failure_files) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == message.format(dir=failure_files) + "\n"
+
+
+def test_failures_are_named_for_main():
+    # main reports an InputFormatError or a CorruptIndexError as one line
+    assert issubclass(TextTooLongError, InputFormatError)
+    with pytest.raises(CorruptIndexError, match="l_max does not start at a-count zero"):
+        CornerIndex(CornerList([(1, 0)]), CornerList([(1, 1)]))
 
 
 class TestPnf:

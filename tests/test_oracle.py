@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EXAMPLE, EXAMPLE_BMAX, EXAMPLE_BMIN, all_binary_strings
+from cornerindex import oracle
 from cornerindex.oracle import (
     DEFAULT_MAX_TEXT,
     TextTooLongError,
@@ -98,6 +99,42 @@ class TestStructuralChecks:
     def test_witnesses_small(self):
         for s in all_binary_strings(9):
             assert lemma1_witness_check(s), s
+
+    def test_interval_lemma_rejects_a_gap(self, monkeypatch):
+        # length 2 of "aabb" has a-counts 0, 1 and 2; without the middle
+        # one they are no interval
+        pi = parikh_set_bruteforce("aabb")
+        monkeypatch.setattr(oracle, "parikh_set_bruteforce", lambda s, max_n: pi - {(1, 1)})
+        assert not verify_interval_lemma("aabb")
+
+    @pytest.mark.parametrize("letter, coord", [("a", 0), ("b", 1)])
+    def test_witnesses_reject_a_missing_span(self, monkeypatch, letter, coord):
+        # the span over every run of a letter is the only witness of the
+        # realized pair with all of that letter and the fewest of the other
+        spans = oracle._span_vectors
+
+        def without_widest(s, which):
+            out = spans(s, which)
+            if which == letter:
+                out.remove(max(out, key=lambda v: v[coord]))
+            return out
+
+        monkeypatch.setattr(oracle, "_span_vectors", without_widest)
+        assert not lemma1_witness_check(EXAMPLE)
+
+    def test_span_vectors_match_definition(self):
+        # Parikh vectors of the empty substring and of every substring that
+        # starts and ends with a whole run of the letter
+        for s in all_binary_strings(10):
+            for letter in "ab":
+                expected = [(0, 0)] + [
+                    (s.count("a", i, j), s.count("b", i, j))
+                    for i in range(len(s))
+                    for j in range(i + 1, len(s) + 1)
+                    if s[i] == s[j - 1] == letter
+                    and s[i - 1:i] != letter and s[j:j + 1] != letter
+                ]
+                assert sorted(oracle._span_vectors(s, letter)) == sorted(expected), (s, letter)
 
     @given(binary_strings)
     @settings(max_examples=200)
