@@ -81,6 +81,11 @@ for name in v1 v2 v3; do
   cmp "$dir/smoke.query" "$dir/$name.query"
   cmp "$dir/smoke.pnf" "$dir/$name.pnf"
 done
+# A reader that closes the pipe after one line, as `head -n 1` does: query
+# stops quietly with exit 0, which pipefail checks, and an empty stderr.
+python3 -c 'print("1 1\n" * 200000, end="")' > "$dir/many.txt"
+python3 -m cornerindex query --index "$dir/again.cix" --input "$dir/many.txt" 2> "$dir/pipe.err" | head -n 1
+test ! -s "$dir/pipe.err"
 python3 -c 'import sys; raw = open(sys.argv[1], "rb").read(); open(sys.argv[2], "wb").write(raw[:-3])' "$dir/smoke.cix" "$dir/short.cix"
 status=0
 echo "1 1" | python3 -m cornerindex query --index "$dir/short.cix" 2> "$dir/short.err" || status=$?

@@ -10,30 +10,25 @@ r(r+1)/2 spans by length k and start i and keeps a sorted working list
 probed with bisect: a candidate costs one successor search, and the
 deletions an insertion triggers are adjacent to the insertion point.
 
-numpy forms the candidates a block at a time from uint64 prefix sums: a
-block is several consecutive rows (each of fixed k) laid out as one
-rectangle. It drops in bulk every candidate that the staircase, as it stood
-at the block's start, or a candidate of an earlier row of the block already
-dominates; only the survivors reach the bisect step, in (k, i) order. This
-is exact: once the sequential sweep has seen a pair, the pair is stored or
-dominated by a stored pair, so it would reject the same candidates, and a
-rejected candidate never changes the list. The survivors are therefore
-those of one-row blocks, whatever a block's size. Both tests read one table
-over the block's range of a-counts: its row 0 holds the staircase's
-successor b-count for every value, found by one search of that sorted
-range, and its row d the smaller of row d - 1 and the fewest b's of a
-row d - 1 candidate at that a-count or above. While the table stays within
-a few cells per candidate (fair-coin text), blocks grow to a fixed number
-of cells. A sweep whose table outgrows that bound (long runs, where the
-range is many times longer) tests against the staircase alone from that
-block on, in blocks of one long row or of short rows grouped: it drops
-whole each chunk of consecutive spans of a row whose fewest b's reach the
-successor of its most a's, and searches the spans of the other chunks one
-by one. Lists and peaks are those of the plain sequential sweep, which
-runs itself, on plain ints, when the sweep has at most ``_BLOCK`` spans and
-when it is traced: the optional ``BuildTrace`` records that sweep's
-candidates and mutations at any size. The candidate lists for the
-order-independence check come from the same span generator.
+numpy forms the candidates a block of consecutive rows (each of fixed k)
+at a time from uint64 prefix sums (``_blocks``), and drops in bulk every
+candidate that the staircase, as it stood at the block's start, dominates
+and, while the block's a-counts span a few table cells per candidate
+(fair-coin text), every one that a candidate of an earlier row of the block
+dominates (``_undominated``). Only the survivors reach the bisect step, in
+(k, i) order. This is exact: once the sequential sweep has seen a pair, it
+stores the pair or one that dominates it, so it would reject the same
+candidates, and a rejected candidate never changes the list. The survivors
+are therefore those of one-row blocks, whatever a block's size. A sparse
+block (long runs, whose ranges are many times longer) drops whole each
+chunk of a row whose fewest b's reach the successor of its most a's: the
+successor b-count never falls as the a-count grows, so the per-span test
+would reject every span of that chunk too. Lists and peaks are those of
+the plain sequential sweep, which runs itself, on plain ints, when the
+sweep has at most ``_BLOCK`` spans and when it is traced: the optional
+``BuildTrace`` records that sweep's candidates and mutations at any size.
+The candidate lists for the order-independence check come from the same
+span generator.
 
 numpy is imported by the first sweep that takes the block path, so loading
 and querying an index, or building one of at most ``_BLOCK`` spans, never
@@ -113,8 +108,12 @@ _TABLE = 8
 _CHUNK = 16
 
 
-class _Blocks:
-    """The sweep's candidates in (k, i) order, one numpy block at a time.
+def _blocks(
+    first_runs: Sequence[int], second: Sequence[int]
+) -> Iterator[tuple[np.ndarray, np.ndarray, tuple[np.uint64, int] | None]]:
+    """The sweep's spans in (k, i) order, one numpy block at a time, as
+    (x, y, table): ``table`` is the block's row-table range (hi, width), or
+    None once the sweep is sparse.
 
     A block is g consecutive rows k..k+g-1 (span lengths k + d, every start
     i) laid out as one (g, w) rectangle, w = r - k + 1: row d holds its
@@ -125,124 +124,106 @@ class _Blocks:
     an earlier row of the block holds.
 
     A sweep starts dense: a dense block gathers as many rows as fit in
-    ``_DENSE_CELLS * _BLOCK`` cells. The sweep turns sparse for good at the
-    first block whose row table (see ``undominated``) would hold more than
-    ``_TABLE`` cells per span, and that block is formed again in the sparse
-    shape, which keeps rows of at least ``_BLOCK`` spans to themselves and
-    groups shorter rows until they hold ``_BLOCK`` spans. Spans are those of
-    ``first_runs``, with ``second`` the runs between them. numpy is imported
-    here, so only a sweep that takes the block path loads it.
+    ``_DENSE_CELLS * _BLOCK`` cells. Its a-counts run from row 0's fewest
+    to row g - 1's most, since a longer span from the same start holds at
+    least as many a's, so those two rows give its range before it is
+    formed. The sweep turns sparse for good at the first block whose row
+    table would hold more than ``_TABLE`` cells per span; from that block
+    on, rows of at least ``_BLOCK`` spans stay alone and shorter rows are
+    grouped until they hold ``_BLOCK`` spans. Spans are those of
+    ``first_runs``, with ``second`` the runs between them. numpy is
+    imported here, so only a sweep that takes the block path loads it.
     """
+    import numpy as np
 
-    def __init__(self, first_runs: Sequence[int], second: Sequence[int]):
-        import numpy as np
-
-        self.np = np
-        self.r = r = len(first_runs)
-        # Prefix sums, then copies of the last one a span uses (p1[r] and
-        # gaps[r - 1]) up to 2r + 1 entries: a block's rows reach index
-        # r + g - 1 of p1.
-        self.p1 = np.empty(2 * r + 1, dtype=np.uint64)
-        self.gaps = np.empty(2 * r + 1, dtype=np.uint64)
-        for sums, runs in ((self.p1, first_runs), (self.gaps, second[: r - 1])):
-            sums[0] = 0
-            np.cumsum(np.array(runs, dtype=np.uint64), out=sums[1 : len(runs) + 1])
-            sums[len(runs) + 1 :] = sums[len(runs)]
-        # Whether blocks read a row table (one-way switch).
-        self.dense = True
-
-    def _rows(self, k: int, g: int) -> tuple[np.ndarray, np.ndarray]:
-        """x and y of rows k..k+g-1 as a (g, r - k + 1) block."""
-        np, w = self.np, self.r - k + 1
+    r = len(first_runs)
+    # Prefix sums, then copies of the last one a span uses (p1[r] and
+    # gaps[r - 1]) up to 2r + 1 entries: a block's rows reach index
+    # r + g - 1 of p1.
+    p1 = np.empty(2 * r + 1, dtype=np.uint64)
+    gaps = np.empty(2 * r + 1, dtype=np.uint64)
+    for sums, runs in ((p1, first_runs), (gaps, second[: r - 1])):
+        sums[0] = 0
+        np.cumsum(np.array(runs, dtype=np.uint64), out=sums[1 : len(runs) + 1])
+        sums[len(runs) + 1 :] = sums[len(runs)]
+    dense = True  # one-way switch
+    k = 1
+    while k <= r:
+        w = r - k + 1
+        if dense:
+            g = max(1, min(w, _DENSE_CELLS * _BLOCK // w))
+            hi = (p1[k + g - 1 : r + g] - p1[:w]).max()
+            width = int(hi - (p1[k : r + 1] - p1[:w]).min()) + 1
+            dense = g * width <= _TABLE * (g * w - g * (g - 1) // 2)
+        if not dense:
+            g, m = 1, w
+            while m < _BLOCK and g < w:
+                m += w - g
+                g += 1
         # Row d of the window (shape, dtype, buffer, offset, strides) that
         # starts at sums[j] is sums[j + d : j + d + w].
-        ends = np.ndarray((g, w), np.uint64, self.p1, 8 * k, (8, 8))
-        x = ends - self.p1[:w]
-        ends = np.ndarray((g, w), np.uint64, self.gaps, 8 * (k - 1), (8, 8))
-        return x, ends - self.gaps[:w]
+        x = np.ndarray((g, w), np.uint64, p1, 8 * k, (8, 8)) - p1[:w]
+        y = np.ndarray((g, w), np.uint64, gaps, 8 * (k - 1), (8, 8)) - gaps[:w]
+        yield x, y, (hi, width) if dense else None
+        k += g
 
-    def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        k = 1
-        while k <= self.r:
-            w = self.r - k + 1
-            if self.dense:
-                g = max(1, min(w, _DENSE_CELLS * _BLOCK // w))
-                x, y = self._rows(k, g)
-                hi = x.max()
-                width = int(hi - x.min()) + 1
-                # Too wide a table turns the sweep sparse; the block is then
-                # formed again in the sparse shape. undominated reads range.
-                self.dense = g * width <= _TABLE * (g * w - g * (g - 1) // 2)
-                self.range = hi, width
-            if not self.dense:
-                g, m = 1, w
-                while m < _BLOCK and g < w:
-                    m += w - g
-                    g += 1
-                x, y = self._rows(k, g)
-            k += g
-            yield x, y
 
-    def undominated(
-        self, x: np.ndarray, y: np.ndarray, mx: array, my: array
-    ) -> np.ndarray:
-        """Flat positions, in (k, i) order, of the block's spans that no
-        pair of the staircase mirrored in (mx, my) dominates and, while the
-        sweep is dense, that no span of an earlier row of the block
-        dominates either.
+def _undominated(
+    x: np.ndarray,
+    y: np.ndarray,
+    table: tuple[np.uint64, int] | None,
+    mx: array,
+    my: array,
+) -> np.ndarray:
+    """Flat positions, in (k, i) order, of the block's spans that no pair
+    of the staircase mirrored in (mx, my) dominates and, given a row-table
+    range, that no span of an earlier row of the block dominates either.
 
-        A candidate's successor b-count is my at the first position whose
-        a-count in mx is at least the candidate's. A dense block tabulates,
-        for every a-count v from the block's lowest to its highest hi, a row
-        table E: E[0, hi - v] is that successor, found by one search of the
-        sorted range, and E[d, hi - v] is the smaller of E[d - 1, hi - v] and
-        the fewest b's of a row d - 1 span with at least v a's. A candidate
-        of row d survives when its entry exceeds its b-count. This is exact:
-        a span of an earlier row precedes the candidate in (k, i) order, and
-        once the sequential sweep has seen a span it stores that span or a
-        pair that dominates it, so a candidate the span dominates is one the
-        sweep rejects. The table also rejects the cells past the end of a
-        row, which repeat spans of earlier rows. A sparse block tests
-        against the staircase alone, and first masks those cells with the
-        sentinel; with long runs the ranges are many times the block length,
-        and a table would be pure cost. It cuts every row into chunks of
-        ``_CHUNK`` consecutive cells and drops each chunk whose fewest b's
-        reach the successor of its most a's; only the cells of the other
-        chunks are searched one by one. This is exact: the successor b-count
-        never falls as the a-count grows, so every cell of a dropped chunk
-        has at least its own successor's b-count, and the per-cell test
-        would reject it too.
-        """
-        np = self.np
-        g, w = x.shape
-        stair_x = np.frombuffer(mx, dtype=np.uint64)
-        stair_y = np.frombuffer(my, dtype=np.uint64)
+    A candidate's successor b-count is my at the first position whose
+    a-count in mx is at least the candidate's. Given (hi, width), the row
+    table E covers every a-count v from hi - width + 1 to hi: E[0, hi - v]
+    is that successor, found by one search of the sorted range, and
+    E[d, hi - v] is the smaller of E[d - 1, hi - v] and the fewest b's of a
+    row d - 1 span with at least v a's. A candidate of row d survives when
+    its entry exceeds its b-count; the cells past the end of a row, which
+    repeat spans of earlier rows, fail that test. Without a table (a
+    sparse block, where the ranges are many times the block length), those
+    cells are first masked in y with the sentinel, then every row is cut
+    into chunks of ``_CHUNK`` consecutive cells, each chunk whose fewest
+    b's reach the successor of its most a's is dropped, and only the cells
+    of the other chunks are searched one by one.
+    """
+    import numpy as np
 
-        def successor(v: np.ndarray) -> np.ndarray:
-            return stair_y.take(stair_x.searchsorted(v))
+    g, w = x.shape
+    stair_x = np.frombuffer(mx, dtype=np.uint64)
+    stair_y = np.frombuffer(my, dtype=np.uint64)
 
-        if self.dense:
-            hi, width = self.range
-            table = np.full((g, width), stair_y[-1])
-            table[0] = successor(hi - np.arange(width, dtype=np.uint64))
-            # Each cell's flat position in the table: row d starts at d * width.
-            cells = (hi - x).view(np.intp)
-            cells += np.arange(0, g * width, width)[:, None]
-            # Each row's fewest b's per a-count, one table row down, then
-            # minima over more a's (fewer hi - v) and over earlier rows. Row 0
-            # already falls with hi - v, so a one-row table stays as it is.
-            np.minimum.at(table[1:].ravel(), cells[:-1].ravel(), y[:-1].ravel())
-            np.minimum.accumulate(table, axis=1, out=table)
-            np.minimum.accumulate(table, axis=0, out=table)
-            return (table.take(cells) > y).ravel().nonzero()[0]
-        for d in range(1, g):
-            y[d, w - d :] = stair_y[-1]
-        starts = np.arange(0, w, _CHUNK)
-        most = np.maximum.reduceat(x, starts, axis=1)
-        fewest = np.minimum.reduceat(y, starts, axis=1)
-        live = successor(most) > fewest
-        cells = np.repeat(live, _CHUNK, axis=1)[:, :w].ravel().nonzero()[0]
-        return cells[successor(x.take(cells)) > y.take(cells)]
+    def successor(v: np.ndarray) -> np.ndarray:
+        return stair_y.take(stair_x.searchsorted(v))
+
+    if table is not None:
+        hi, width = table
+        rows = np.full((g, width), stair_y[-1])
+        rows[0] = successor(hi - np.arange(width, dtype=np.uint64))
+        # Each cell's flat position in the table: row d starts at d * width.
+        cells = (hi - x).view(np.intp)
+        cells += np.arange(0, g * width, width)[:, None]
+        # Each row's fewest b's per a-count, one table row down, then
+        # minima over more a's (fewer hi - v) and over earlier rows. Row 0
+        # already falls with hi - v, so a one-row table stays as it is.
+        np.minimum.at(rows[1:].ravel(), cells[:-1].ravel(), y[:-1].ravel())
+        np.minimum.accumulate(rows, axis=1, out=rows)
+        np.minimum.accumulate(rows, axis=0, out=rows)
+        return (rows.take(cells) > y).ravel().nonzero()[0]
+    for d in range(1, g):
+        y[d, w - d :] = stair_y[-1]
+    starts = np.arange(0, w, _CHUNK)
+    most = np.maximum.reduceat(x, starts, axis=1)
+    fewest = np.minimum.reduceat(y, starts, axis=1)
+    live = successor(most) > fewest
+    cells = np.repeat(live, _CHUNK, axis=1)[:, :w].ravel().nonzero()[0]
+    return cells[successor(x.take(cells)) > y.take(cells)]
 
 
 def _spans(first_runs: Sequence[int], second: Sequence[int]) -> Iterator[ParikhVector]:
@@ -326,10 +307,11 @@ def _sweep(
 
     A traced sweep, or one of at most ``_BLOCK`` spans, is the sequential
     sweep: every span, in (k, i) order, through the sequential step. Any
-    other forms its spans one numpy block of rows at a time, prefilters each
-    block against the staircase as it stood at the block's start and, while
-    dense, against the block's earlier rows (see ``_Blocks``), and sends the
-    survivors through the sequential step in order. Candidates with x == 0
+    other forms its spans one numpy block of rows at a time (``_blocks``),
+    prefilters each block against the staircase as it stood at the block's
+    start and, while dense, against the block's earlier rows
+    (``_undominated``), and sends the survivors through the sequential step
+    in order. Candidates with x == 0
     come only from a zero-length padding run; they are traced but skipped,
     and a list left empty gets the boundary entry (0, 0). The peak is the
     largest size the working list reaches right after an insertion.
@@ -344,7 +326,6 @@ def _sweep(
         # The block path records no trace; see _BLOCK for small sweeps.
         peak = _feed(xs, ys, _spans(first_runs, second), trace)[0]
     else:
-        blocks = _Blocks(first_runs, second)
         # uint64 copy of the staircase for the prefilter, synced after each
         # block. my ends with a sentinel that stands for "no successor": it
         # exceeds every b-count of a candidate with x > 0, since the letter
@@ -352,8 +333,8 @@ def _sweep(
         mx = array("Q")
         my = array("Q", [MAX_TEXT_LENGTH])
         peak = 0
-        for bx, by in blocks:
-            keep = blocks.undominated(bx, by, mx, my)
+        for bx, by, table in _blocks(first_runs, second):
+            keep = _undominated(bx, by, table, mx, my)
             survivors = zip(bx.take(keep).tolist(), by.take(keep).tolist())
             block_peak, lo = _feed(xs, ys, survivors)
             peak = max(peak, block_peak)

@@ -4,7 +4,8 @@ Subcommands: build, query, pnf, verify, experiment, bench. Exit codes:
 0 success, 1 verification failure, 2 usage or input-format error, or input
 or output too large for memory. Commands raise their failures and ``main``
 alone turns each into a one-line message and exit 2; only ``query``
-reports its malformed lines itself, as it answers the others.
+reports its malformed lines itself, as it answers the others. A command
+whose stdout is closed early ends quietly with exit 0.
 
 A command-line start imports only what its subcommand runs: the
 construction sweep is imported by ``build``, ``pnf --input``, ``verify``
@@ -16,6 +17,7 @@ commands that draw texts, and ``json`` by ``--format jsonl``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -431,6 +433,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader closed stdout, as `| head` does: stop quietly. fd 1
+        # then points at the null device, so the final flush cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except _UsageError as exc:
         print(exc, file=sys.stderr)
     except (InputFormatError, IndexFormatError, CorruptIndexError, OSError) as exc:

@@ -136,6 +136,15 @@ class LengthTables(NamedTuple):
     max_a: Sequence[int]
 
 
+def _integral(v) -> int | None:
+    """A count given as another numeric type (numpy integer, 3.0,
+    Fraction(3), True) as the int it equals, or None when it is not
+    integral. Text is refused: ``"%d" % 1`` would format, not test."""
+    if isinstance(v, (str, bytes, bytearray)):
+        raise TypeError(f"a count must be a number, not {type(v).__name__}")
+    return None if v % 1 else int(v)
+
+
 def _pnf_runs(
     firsts: Sequence[int], seconds: Sequence[int], total_second: int
 ) -> Iterator[tuple[int, int]]:
@@ -247,9 +256,10 @@ class CornerIndex(_Record):
         in 0..total_a. Integral values of other numeric types are looked
         up as the ints they equal, as in :meth:`query`."""
         if type(x) is not int:
-            if x % 1:
+            v = _integral(x)
+            if v is None:
                 raise ValueError(f"a-count {x} is not an integer")
-            x = int(x)
+            x = v
         starts, low, high = self._segments
         i = bisect_right(starts, x)
         if not 0 < i < len(starts):  # a sentinel row
@@ -261,8 +271,9 @@ class CornerIndex(_Record):
 
         Out-of-range and non-integral pairs are simply absent (returns
         False). Integral values of other numeric types, such as numpy
-        integers or 2.0, are answered as the ints they equal. The only
-        error is CorruptIndexError, for corner lists that cross.
+        integers or 2.0, are answered as the ints they equal. A str,
+        bytes or bytearray count raises TypeError, and corner lists that
+        cross raise CorruptIndexError.
 
         The first lookup on an index (query, bmin or bmax) builds the
         segment table in one O(|l_min| + |l_max|) merge: 13-26 µs for an
@@ -271,9 +282,9 @@ class CornerIndex(_Record):
         earn that back.
         """
         if type(x) is not int or type(y) is not int:
-            if x % 1 or y % 1:
+            x, y = _integral(x), _integral(y)
+            if x is None or y is None:
                 return False
-            x, y = int(x), int(y)
         starts, low, high = self._segments
         i = bisect_right(starts, x)
         return low[i] <= y <= high[i]

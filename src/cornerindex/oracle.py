@@ -97,8 +97,12 @@ def bmin_bmax_naive(s: str, max_n: int = DEFAULT_MAX_TEXT) -> BminBmaxTable:
 def sliding_window_query(s: str, q: Sequence[int]) -> bool:
     """Single-query check: does a substring with exactly q = (x, y) a's and
     b's exist? One O(n) pass over windows of length x + y. No substring
-    holds a fractional count, so a non-integral x or y gives False."""
+    holds a fractional count, so a non-integral x or y gives False; a str,
+    bytes or bytearray count raises TypeError, as in CornerIndex.query."""
     x, y = q[0], q[1]
+    for v in (x, y):
+        if isinstance(v, (str, bytes, bytearray)):
+            raise TypeError(f"a count must be a number, not {type(v).__name__}")
     if x % 1 or y % 1:
         return False
     x, y = int(x), int(y)

@@ -145,8 +145,6 @@ def encode(s: str) -> RunLengthEncoding:
     Raises InputFormatError for any character outside {a, b}, naming the
     first offending position.
     """
-    if len(s) > MAX_TEXT_LENGTH:
-        raise InputFormatError("input exceeds the 64-bit length limit")
     _check_letters(s, "ab")
     # Runs alternate letters, so after padding the a-runs and b-runs take
     # turns starting with an a-run.

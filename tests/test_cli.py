@@ -19,7 +19,7 @@ from cornerindex.cli import main
 from cornerindex.corner import CornerIndex, CornerList, CorruptIndexError
 from cornerindex.oracle import TextTooLongError
 from cornerindex.persist import load_index, save_index, serialize
-from cornerindex.rle import InputFormatError
+from cornerindex.rle import InputFormatError, RunLengthEncoding
 from cornerindex.textgen import coin_string
 
 
@@ -600,6 +600,26 @@ def test_module_entry_point(example_file, tmp_path):
     )
     assert out.returncode == 0
     assert "n=18" in out.stdout
+
+
+@pytest.mark.parametrize("command", ["query", "pnf"])
+def test_closed_stdout_ends_quietly(tmp_path, command):
+    # A reader that stops after one line, as `| head -n 1` does: the
+    # child's next write meets a closed pipe, and it ends with exit 0 and
+    # nothing on stderr. Real children, since pytest owns fd 1.
+    path = str(tmp_path / "long.cix")
+    save_index(build.index_from_rle(RunLengthEncoding((300_000, 7), (3, 300_000))), path)
+    argv = ["pnf", "--index", path]
+    if command == "query":
+        queries = tmp_path / "queries.txt"
+        queries.write_text("1 1\n" * 200_000)
+        argv = ["query", "--index", path, "--input", str(queries)]
+    with subprocess.Popen([sys.executable, "-m", "cornerindex", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        assert child.stdout.readline()
+        child.stdout.close()
+        assert child.wait(timeout=60) == 0
+        assert child.stderr.read() == b""
 
 
 def test_large_compressible_build(capsys, tmp_path):

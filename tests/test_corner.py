@@ -177,7 +177,7 @@ class TestConstruction:
         rle = encode(coin_string(random.Random(2024), 2000))
         assert rle.pairs * (rle.pairs + 1) // 2 > construction._BLOCK
         untraced = build_lmin(rle), build_lmax(rle)
-        with mock.patch.object(construction, "_Blocks", side_effect=AssertionError):
+        with mock.patch.object(construction, "_blocks", side_effect=AssertionError):
             for build, args, built in (
                 (build_lmin, (rle.a_runs, rle.b_runs, True), untraced[0]),
                 (build_lmax, (rle.b_runs, rle.a_runs, False), untraced[1]),
@@ -215,15 +215,15 @@ def _shapes():
 
 
 def _sweeps(rle):
-    """build._Blocks's arguments for the l_min and the l_max sweep."""
+    """build._blocks's arguments for the l_min and the l_max sweep."""
     return [(rle.a_runs, rle.b_runs), (rle.b_runs, rle.a_runs[1:])]
 
 
 def _block_modes(first_runs, second):
     """(dense, rows, cells per row) of each block the block path forms over
     these runs."""
-    blocks = build._Blocks(first_runs, second)
-    return [(blocks.dense, *x.shape) for x, _ in blocks]
+    return [(table is not None, *x.shape)
+            for x, _, table in build._blocks(first_runs, second)]
 
 
 def _block_kinds(first_runs, second):
@@ -239,7 +239,7 @@ def _block_kinds(first_runs, second):
     if modes[0][0] and not modes[-1][0]:
         kinds.add("switch")
     # a sparse block after the first (so the staircase holds a pair) whose
-    # rows span several chunks, which undominated bounds one at a time
+    # rows span several chunks, which _undominated bounds one at a time
     if any(not dense and w > build._CHUNK for dense, _, w in modes[1:]):
         kinds.add("chunked")
     return kinds
@@ -269,20 +269,19 @@ def _is_subsequence(part, whole):
 def _prefiltered(first_runs, second):
     """The block path of build._sweep over these runs: per block, the
     staircase at its start, its spans as (flat position, row, x, y), the
-    positions undominated keeps and whether it read the row table; and
+    positions _undominated keeps and whether it read the row table; and
     every survivor, in order."""
-    blocks = build._Blocks(first_runs, second)
     xs, ys = [], []
     log, survivors = [], []
-    for bx, by in blocks:
+    for bx, by, table in build._blocks(first_runs, second):
         g, w = bx.shape
         spans = [(d * w + i, d, int(bx[d, i]), int(by[d, i]))
                  for d in range(g) for i in range(w - d)]
         stair = list(zip(xs, ys))
-        keep = blocks.undominated(
-            bx, by, array("Q", xs), array("Q", [*ys, MAX_TEXT_LENGTH])
+        keep = build._undominated(
+            bx, by, table, array("Q", xs), array("Q", [*ys, MAX_TEXT_LENGTH])
         ).tolist()
-        log.append((stair, spans, keep, blocks.dense))
+        log.append((stair, spans, keep, table is not None))
         kept = [(int(bx.flat[p]), int(by.flat[p])) for p in keep]
         survivors += kept
         build._feed(xs, ys, kept)
@@ -356,7 +355,7 @@ class TestBatchedSweep:
         # of the next still gives every span, in (k, i) order.
         for sweep in _sweeps(_shapes()["coin"]):
             held = [(x.tolist(), y.tolist(), x.shape)
-                    for x, y in list(build._Blocks(*sweep))]
+                    for x, y, _ in list(build._blocks(*sweep))]
             cells = [(x[d][i], y[d][i]) for x, y, (g, w) in held
                      for d in range(g) for i in range(w - d)]
             assert cells == list(build._spans(*sweep))
@@ -367,6 +366,73 @@ class TestBatchedSweep:
             for sweep in _sweeps(rle):
                 kinds |= _block_kinds(*sweep)
         assert kinds == _ALL_BLOCK_KINDS
+
+    def test_block_tables_are_the_formed_ranges(self):
+        # A dense block's table is the range of its a-counts, as reducing the
+        # formed block gives it. The sweep turns sparse (None) for good at
+        # the first block whose dense shape, read off the plain span list,
+        # would hold more than _TABLE table cells a span.
+        block, (lo, hi), first, second = _PREFILTER_MODES["chunked"]
+        rng = random.Random("chunked")
+        chunked = _random_runs(rng, rng.randint(lo, hi), first, second)
+        sweeps = [(sweep, build._BLOCK)
+                  for rle in _shapes().values() for sweep in _sweeps(rle)]
+        sweeps += [(sweep, block) for sweep in _sweeps(chunked)]
+        seen = set()
+        for sweep, size in sweeps:
+            r = len(sweep[0])
+            spans = iter(build._spans(*sweep))
+            # the a-counts of the spans of each length k, at index k - 1
+            rows = [[next(spans)[0] for _ in range(r - k + 1)] for k in range(1, r + 1)]
+            dense, k = True, 1
+            with mock.patch.object(build, "_BLOCK", size):
+                for x, _, table in build._blocks(*sweep):
+                    g, w = x.shape
+                    if dense:
+                        g_dense = max(1, min(w, build._DENSE_CELLS * size // w))
+                        xs = [v for row in rows[k - 1 : k - 1 + g_dense] for v in row]
+                        spans_dense = g_dense * w - g_dense * (g_dense - 1) // 2
+                        dense = (g_dense * (max(xs) - min(xs) + 1)
+                                 <= build._TABLE * spans_dense)
+                    hi, width = x.max(), int(x.max() - x.min()) + 1
+                    assert table == ((hi, width) if dense else None)
+                    seen.add(dense)
+                    k += g
+            assert k == r + 1
+        assert seen == {True, False}
+
+    def test_undominated_reads_only_its_arguments(self):
+        # Two copies of one block and staircase give the same positions, and
+        # the call changes nothing but a sparse block's cells past a row's
+        # end, which it masks in y with the staircase's sentinel.
+        np = pytest.importorskip("numpy")
+        rng = random.Random(27)
+        seen = set()
+        for mode in sorted(_PREFILTER_MODES):
+            block, (lo, hi), first, second = _PREFILTER_MODES[mode]
+            rle = _random_runs(rng, rng.randint(lo, hi), first, second)
+            with mock.patch.object(build, "_BLOCK", block):
+                for sweep in _sweeps(rle):
+                    xs, ys = [], []
+                    for x, y, table in build._blocks(*sweep):
+                        args = (x, y, table, array("Q", xs),
+                                array("Q", [*ys, MAX_TEXT_LENGTH]))
+                        copies = [copy.deepcopy(args) for _ in range(2)]
+                        keep = [build._undominated(*c).tolist() for c in copies]
+                        assert keep[0] == keep[1]
+                        masked = y.copy()
+                        g, w = y.shape
+                        if table is None:
+                            for d in range(1, g):
+                                masked[d, w - d :] = MAX_TEXT_LENGTH
+                        for c in copies:
+                            assert np.array_equal(c[0], x)
+                            assert np.array_equal(c[1], masked)
+                            assert c[2:] == args[2:]
+                        seen.add((table is None, not np.array_equal(masked, y)))
+                        build._feed(xs, ys, [(int(x.flat[p]), int(y.flat[p]))
+                                             for p in keep[0]])
+        assert {(False, False), (True, True)} <= seen
 
     @pytest.mark.parametrize("mode", sorted(_PREFILTER_MODES))
     def test_prefilter_is_tight(self, mode):
@@ -622,6 +688,24 @@ class TestQueries:
         assert huge.query(np.uint64(top - 1), np.uint64(1)) is True
         assert huge.query(np.uint64(top), np.uint64(0)) is False
         assert huge.query(np.uint64(top - 1), np.uint64(2)) is False
+
+    def test_text_counts_are_refused(self):
+        # str and bytes would be formatted by the integrality test x % 1
+        # ("%d" % 1 is "1"), so they are refused by name instead
+        idx = build_index("aabab")
+        for args in (("1", 1), (1, "1"), ("%d", 0), (b"1", 1), (1, bytearray(b"1"))):
+            with pytest.raises(TypeError, match="a count must be a number"):
+                idx.query(*args)
+        for bad in ("1", b"1", bytearray(b"1")):
+            for method in (idx.bmin, idx.bmax):
+                with pytest.raises(TypeError, match=f"not {type(bad).__name__}$"):
+                    method(bad)
+        assert idx.query(Fraction(3), True) is idx.query(3, 1) is True
+        assert idx.bmin(Fraction(3)) == idx.bmin(3.0) == 1
+        assert idx.bmax(True) == idx.bmax(1) == 2
+        assert idx.query(2.5, 0) is False
+        with pytest.raises(ValueError, match="not an integer"):
+            idx.bmin(2.5)
 
     @given(run_lists())
     @example(encode(""))

@@ -85,6 +85,12 @@ class TestSlidingWindow:
         assert not sliding_window_query("ab", (float("nan"), 0))
         assert sliding_window_query("ab", (1.0, 1.0))
 
+    def test_text_counts_are_refused(self):
+        # not formatted by the integrality test, as "%d" % 1 would be
+        for q in (("1", 1), (1, b"1"), ("%d", 0), (bytearray(b"1"), 1)):
+            with pytest.raises(TypeError, match="a count must be a number"):
+                sliding_window_query("ab", q)
+
     @given(binary_strings, st.integers(0, 30), st.integers(0, 30))
     @settings(max_examples=300)
     def test_agrees_with_set(self, s, x, y):
