@@ -53,6 +53,27 @@ python3 -m cornerindex build --input "$dir/smoke.txt" --index "$dir/smoke.cix"
 python3 -m cornerindex bench --index "$dir/smoke.cix" --count 20000
 python3 -m cornerindex pnf --index "$dir/smoke.cix" > /dev/null
 printf '1 1\n1500 1500\n' | python3 -m cornerindex query --index "$dir/smoke.cix" --format jsonl
+# The last query line needs no newline to be answered.
+printf '1 1\n1500 1500' | python3 -m cornerindex query --index "$dir/smoke.cix" > "$dir/last.out"
+test "$(cut -d ' ' -f 1-2 "$dir/last.out")" = "$(printf '1 1\n1500 1500')"
+# A standard input in non-blocking mode would end a read with what the pipe
+# holds, and a closed one has no stream: query and build --input - refuse
+# both with exit 2, nothing on stdout and one error naming standard input.
+python3 -c '
+import os, subprocess, sys
+cli = [sys.executable, "-m", "cornerindex"]
+query = cli + ["query", "--index", sys.argv[1]]
+build = cli + ["build", "--input", "-", "--index", sys.argv[2]]
+for argv, ready in [(query, b"1 1\n"), (build, b"ab"), (["sh", "-c", "exec \"$@\" <&-", "sh", *query], None)]:
+    r, w = os.pipe()
+    os.set_blocking(r, False)
+    os.write(w, ready or b"")
+    child = subprocess.run(argv, stdin=r, capture_output=True, timeout=60)
+    os.close(r)
+    os.close(w)
+    if child.returncode != 2 or child.stdout or b"standard input" not in child.stderr:
+        sys.exit(f"{argv} on an unreadable stdin: exit {child.returncode}, {child.stdout!r}, {child.stderr!r}")
+' "$dir/smoke.cix" "$dir/nonblocking.cix"
 python3 -m cornerindex build --input "$dir/smoke.txt" --index "$dir/again.cix" --format jsonl | tee "$dir/build.jsonl"
 cmp "$dir/smoke.cix" "$dir/again.cix"
 python3 -c '

@@ -4,8 +4,10 @@ Subcommands: build, query, pnf, verify, experiment, bench. Exit codes:
 0 success, 1 verification failure, 2 usage or input-format error, or input
 or output too large for memory. Commands raise their failures and ``main``
 alone turns each into a one-line message and exit 2; only ``query``
-reports its malformed lines itself, as it answers the others. A command
-whose stdout is closed early ends quietly with exit 0.
+reports its malformed lines itself, as it answers the others. An input of
+``-`` is standard input, which is refused with exit 2 when it is closed or
+in non-blocking mode, since a read of it could end before its writer does.
+A command whose stdout is closed early ends quietly with exit 0.
 
 A command-line start imports only what its subcommand runs: the
 construction sweep is imported by ``build``, ``pnf --input``, ``verify``
@@ -17,6 +19,9 @@ commands that draw texts, and ``json`` by ``--format jsonl``.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
+import io
 import os
 import sys
 import time
@@ -42,12 +47,27 @@ class _UsageError(Exception):
     prints the message as it stands and exits 2."""
 
 
+def _open(path: str):
+    """``path`` opened for binary reading, or standard input for ``-``, as a
+    context manager that leaves standard input open. Raises OSError for a
+    closed standard input and BlockingIOError for a non-blocking one."""
+    if path != "-":
+        return open(path, "rb")
+    if sys.stdin is None:
+        raise OSError(errno.EBADF, "standard input is closed")
+    src = sys.stdin.buffer
+    try:
+        blocking = os.get_blocking(src.fileno())
+    except (AttributeError, io.UnsupportedOperation):
+        blocking = True  # an in-memory stream, which never blocks
+    if not blocking:
+        raise BlockingIOError(errno.EAGAIN, "standard input is in non-blocking mode")
+    return contextlib.nullcontext(src)
+
+
 def _read_text(path: str, alphabet: str) -> str:
-    if path == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        with open(path, "rb") as fh:
-            data = fh.read()
+    with _open(path) as src:
+        data = src.read()
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -65,16 +85,16 @@ def _map_out(s: str, alphabet: str) -> str:
     return s.translate(_FROM_AB) if alphabet == "01" else s
 
 
-def _emit(fmt: str, fields: list[tuple[str, object]], out) -> None:
+def _emit(fmt: str, fields: list[tuple[str, object]]) -> None:
     if fmt == "jsonl":
         import json
 
-        print(json.dumps(dict(fields)), file=out)
+        print(json.dumps(dict(fields)))
     elif fmt == "tsv":
-        print("\t".join(k for k, _ in fields), file=out)
-        print("\t".join(str(v) for _, v in fields), file=out)
+        print("\t".join(k for k, _ in fields))
+        print("\t".join(str(v) for _, v in fields))
     else:
-        print("  ".join(f"{k}={v}" for k, v in fields), file=out)
+        print("  ".join(f"{k}={v}" for k, v in fields))
 
 
 def _size_fields(rle, index) -> list[tuple[str, int]]:
@@ -99,7 +119,7 @@ def cmd_build(args) -> int:
     elapsed = time.perf_counter() - t0
     written = save_index(index, args.index)
     fields = _size_fields(rle, index) + [("bytes", written), ("elapsed_s", f"{elapsed:.3f}")]
-    _emit(args.format, fields, sys.stdout)
+    _emit(args.format, fields)
     return EXIT_OK
 
 
@@ -158,36 +178,23 @@ def cmd_query(args) -> int:
     index = load_index(args.index)
     # Lines stay bytes, which int() parses, so a non-ASCII byte makes its
     # line malformed instead of failing the decoding of the whole stream.
-    if args.input == "-":
-        src = sys.stdin.buffer
-        close = None
-    else:
-        src = close = open(args.input, "rb")
     lineno = 1
     bad_lines = 0
-    try:
+    pending: list[bytes] = []  # pieces of the line no chunk has ended yet
+    with _open(args.input) as src:
         # Answer whatever complete lines are available, so that a pipe gets
         # its answers before it is closed; a line cut by the chunk end waits
-        # for the next, and the last line needs no newline.
-        pending: list[bytes] = []  # pieces of the line no chunk has ended yet
-        while True:
-            chunk = src.read1(_QUERY_CHUNK)
-            cut = chunk.rfind(b"\n") + 1
-            if chunk and not cut:
-                pending.append(chunk)
-                continue
-            pending.append(chunk[:cut])
-            text = b"".join(pending)
-            pending = [chunk[cut:]]
-            if text and not chunk:
-                text += b"\n"  # the last line, which has none
-            bad_lines += _answer_lines(index, args.format, text, lineno)
-            lineno += text.count(b"\n")
-            if not chunk:
-                break
-    finally:
-        if close is not None:
-            close.close()
+        # for the next.
+        while chunk := src.read1(_QUERY_CHUNK):
+            lines, newline, cut = chunk.rpartition(b"\n")
+            if newline:
+                text = b"".join([*pending, lines, newline])
+                bad_lines += _answer_lines(index, args.format, text, lineno)
+                lineno += text.count(b"\n")
+                pending = []
+            pending.append(cut)
+    # The last line, answered here, needs no newline.
+    bad_lines += _answer_lines(index, args.format, b"".join([*pending, b"\n"]), lineno)
     return EXIT_USAGE if bad_lines else EXIT_OK
 
 
@@ -355,7 +362,7 @@ def cmd_bench(args) -> int:
         ("throughput_qps", f"{(len(queries) / wall) if wall > 0 else 0.0:.0f}"),
         ("elapsed_s", f"{wall:.4f}"),
     ]
-    _emit(args.format, fields, sys.stdout)
+    _emit(args.format, fields)
     return EXIT_OK
 
 

@@ -100,14 +100,14 @@ def _stdin(data: bytes):
 
 
 class _Pieces:
-    """A byte stream whose read1 hands out its data in seeded random pieces,
-    as a pipe does."""
+    """A byte stream whose read1 hands out its data in seeded random pieces
+    of 1 to ``most`` bytes, as a pipe does."""
 
-    def __init__(self, data: bytes, seed: int):
-        self.data, self.pos, self.rng = data, 0, random.Random(seed)
+    def __init__(self, data: bytes, seed: int, most: int = 5000):
+        self.data, self.pos, self.rng, self.most = data, 0, random.Random(seed), most
 
     def read1(self, n: int) -> bytes:
-        end = self.pos + min(n, self.rng.randint(1, 5000))
+        end = self.pos + min(n, self.rng.randint(1, self.most))
         piece, self.pos = self.data[self.pos:end], end
         return piece
 
@@ -267,8 +267,9 @@ class TestQuery:
         q.write_bytes(data)
         out, err, code, _ = _reference_query(index, data, fmt)
         assert len(err) == 4 and out.count("\n") == 20_000 - 4 - 1  # one blank line
-        monkeypatch.setattr(sys, "stdin", types.SimpleNamespace(buffer=_Pieces(data, 3)))
-        for source in [str(q), "-"]:
+        # pieces of at most 3 bytes: most hold no newline, so lines span pieces
+        for source, most in [(str(q), 5000), ("-", 5000), ("-", 3)]:
+            monkeypatch.setattr(sys, "stdin", types.SimpleNamespace(buffer=_Pieces(data, 3, most)))
             got = main(["query", "--index", path, "--input", source, "--format", fmt])
             captured = capsys.readouterr()
             assert captured.out == out
@@ -485,6 +486,20 @@ class TestVerify:
                          "--run-geometric", p]) == 2
             assert "--run-geometric" in capsys.readouterr().err
 
+    def test_failing_checks(self, capsys, monkeypatch, example_file):
+        # an index of another text: its grid disagrees with the oracle,
+        # while the checks that read only the text still pass
+        other = build_index("b" * 60)
+        monkeypatch.setattr(build, "build_index", lambda text: other)
+        assert main(["verify", "--input", example_file]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "string 0: oracle-grid: FAIL", "interval-lemma: PASS",
+            "run-span-witnesses: PASS", "pnf-relations: PASS"]
+        assert main(["verify", "--count", "5", "--length", "12", "--seed", "3"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out == [f"string {i}: oracle-grid: FAIL" for i in range(5)] + [
+            "verified 5 strings, 5 failing checks"]
+
     def test_oracle_bound_respected(self, capsys, tmp_path):
         p = tmp_path / "long.txt"
         p.write_text("ab" * 40)
@@ -620,6 +635,34 @@ def test_closed_stdout_ends_quietly(tmp_path, command):
         child.stdout.close()
         assert child.wait(timeout=60) == 0
         assert child.stderr.read() == b""
+
+
+@pytest.mark.parametrize("stdin", ["nothing-ready", "partly-ready", "closed"])
+@pytest.mark.parametrize("command", ["query", "pnf"])
+def test_unreadable_stdin_is_refused(example_index, command, stdin):
+    # A non-blocking pipe ends a read early with what it holds, so the
+    # child would answer a prefix of its input; a closed stdin has no
+    # stream at all. Both are refused before any output. The writer's end
+    # stays open until the child exits, so it never sees the end of input.
+    argv = [sys.executable, "-m", "cornerindex"]
+    argv += ["query", "--index", example_index] if command == "query" else ["pnf", "--input", "-"]
+    if stdin == "closed":
+        child = subprocess.run(["sh", "-c", 'exec "$@" <&-', "sh", *argv],
+                               capture_output=True, timeout=60)
+    else:
+        r, w = os.pipe()
+        try:
+            os.set_blocking(r, False)
+            if stdin == "partly-ready":
+                os.write(w, {"query": b"3 3\n", "pnf": b"aaab"}[command])
+            child = subprocess.run(argv, stdin=r, capture_output=True, timeout=60)
+        finally:
+            os.close(r)
+            os.close(w)
+    assert child.returncode == 2
+    assert child.stdout == b""
+    err = child.stderr.decode().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "standard input" in err[0]
 
 
 def test_large_compressible_build(capsys, tmp_path):

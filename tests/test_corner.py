@@ -955,6 +955,13 @@ def test_index_is_a_frozen_value():
         assert "_segments" not in vars(twin)
 
 
+def test_empty_corner_lists_are_refused():
+    empty = CornerList([])
+    for l_min, l_max in [(empty, CornerList(EXAMPLE_LMAX)), (CornerList(EXAMPLE_LMIN), empty)]:
+        with pytest.raises(CorruptIndexError, match="^corner lists must not be empty$"):
+            CornerIndex(l_min, l_max)
+
+
 def test_trace_takes_any_sinks():
     class Sink(list):
         pass
