@@ -102,6 +102,19 @@ for name in v1 v2 v3; do
   cmp "$dir/smoke.query" "$dir/$name.query"
   cmp "$dir/smoke.pnf" "$dir/$name.pnf"
 done
+# The loader reads a stream to its end only if it opens like the magic, so
+# the endless /dev/zero gets "bad magic" at once; a pipe loads as its file
+# does, and bytes after the checksum are ignored.
+status=0
+timeout 10 python3 -m cornerindex query --index /dev/zero --input /dev/null 2> "$dir/zero.err" || status=$?
+cat "$dir/zero.err"
+test "$status" -eq 2
+grep -q "bad magic" "$dir/zero.err"
+python3 -m cornerindex query --index <(cat "$dir/smoke.cix") --input "$dir/queries.txt" --format jsonl > "$dir/fifo.query"
+cmp "$dir/smoke.query" "$dir/fifo.query"
+{ cat "$dir/smoke.cix"; printf 'trailing bytes'; } > "$dir/junk.cix"
+python3 -m cornerindex query --index "$dir/junk.cix" --input "$dir/queries.txt" --format jsonl > "$dir/junk.query"
+cmp "$dir/smoke.query" "$dir/junk.query"
 # A reader that closes the pipe after one line, as `head -n 1` does: query
 # stops quietly with exit 0, which pipefail checks, and an empty stderr.
 python3 -c 'print("1 1\n" * 200000, end="")' > "$dir/many.txt"

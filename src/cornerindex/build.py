@@ -43,7 +43,7 @@ from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .corner import CornerIndex, CornerList, ParikhVector
-from .rle import MAX_TEXT_LENGTH, RunLengthEncoding, _Record, encode
+from .rle import MAX_TEXT_LENGTH, RunLengthEncoding, _count, _Record, encode
 
 if TYPE_CHECKING:
     import numpy as np
@@ -393,12 +393,14 @@ def assemble_lmin(candidates: Iterable[Sequence[int]]) -> CornerList:
     The final list does not depend on the order; feeding a shuffled
     :func:`lmin_candidates` output reproduces :func:`build_lmin` exactly.
     """
-    return CornerList._of(*_filter((int(p[0]), int(p[1])) for p in candidates))
+    pairs = ((_count(p[0], "a-count"), _count(p[1], "b-count")) for p in candidates)
+    return CornerList._of(*_filter(pairs))
 
 
 def assemble_lmax(candidates: Iterable[Sequence[int]]) -> CornerList:
     """Order-independent dominance filter for the mirrored list."""
-    ys, xs = _filter((int(p[1]), int(p[0])) for p in candidates)
+    pairs = ((_count(p[1], "b-count"), _count(p[0], "a-count")) for p in candidates)
+    ys, xs = _filter(pairs)
     return CornerList._of(xs, ys)
 
 

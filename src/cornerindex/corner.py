@@ -31,7 +31,7 @@ from itertools import chain
 from operator import lt, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .rle import MAX_TEXT_LENGTH, _Record
+from .rle import MAX_TEXT_LENGTH, _count, _integral, _Record
 
 __all__ = [
     "ParikhVector",
@@ -60,8 +60,8 @@ class CornerList(Sequence):
         xs: list[int] = []
         ys: list[int] = []
         for p in points:
-            xs.append(int(p[0]))
-            ys.append(int(p[1]))
+            xs.append(_count(p[0], "a-count"))
+            ys.append(_count(p[1], "b-count"))
         self._init(tuple(xs), tuple(ys))
 
     @classmethod
@@ -134,15 +134,6 @@ class LengthTables(NamedTuple):
 
     min_a: Sequence[int]
     max_a: Sequence[int]
-
-
-def _integral(v) -> int | None:
-    """A count given as another numeric type (numpy integer, 3.0,
-    Fraction(3), True) as the int it equals, or None when it is not
-    integral. Text is refused: ``"%d" % 1`` would format, not test."""
-    if isinstance(v, (str, bytes, bytearray)):
-        raise TypeError(f"a count must be a number, not {type(v).__name__}")
-    return None if v % 1 else int(v)
 
 
 def _pnf_runs(
@@ -255,11 +246,7 @@ class CornerIndex(_Record):
         """(bmin(x), bmax(x)); ValueError unless x is an integral a-count
         in 0..total_a. Integral values of other numeric types are looked
         up as the ints they equal, as in :meth:`query`."""
-        if type(x) is not int:
-            v = _integral(x)
-            if v is None:
-                raise ValueError(f"a-count {x} is not an integer")
-            x = v
+        x = _count(x, "a-count")
         starts, low, high = self._segments
         i = bisect_right(starts, x)
         if not 0 < i < len(starts):  # a sentinel row

@@ -48,13 +48,19 @@ failing check named in the message. A width byte other than 1, 2, 4 or 8 is
 rejected before any field after it is read, and a version 2 to 4 file whose
 checksum does not match is rejected before its entries are decoded. In
 versions 1 to 3, an entry count that the letter totals rule out is rejected
-before any payload is read. Version 4 stores no totals and so has no such
-bound; its part is played by the payload read, which takes at most 1 MiB at
-a time and stops where the stream ends: a header may claim any count, but
-nothing is allocated beyond what the stream holds, and a stream shorter
-than the claim raises "truncated l_min payload" (or l_max, or checksum).
-A read that returns None, as a non-blocking stream's does with nothing
-ready, ends the stream there.
+before the payload's length is checked.
+
+``deserialize`` reads its stream once: the 12-byte prefix and, if that
+opens like the magic, the rest of the stream to its end; a read that
+returns None, as a non-blocking stream's does with nothing ready, ends the
+stream there. Every claim is then checked against the bytes read before
+anything is unpacked: each section's end, from the header's counts and
+widths, is compared with their number. So a header may claim any count
+(version 4 stores no totals to bound one), but nothing is allocated beyond
+what the stream holds, and a file that ends early raises "truncated
+header", "truncated l_min payload", "truncated l_max payload" or
+"truncated checksum" for the first section it cuts. Bytes after the
+checksum are read and ignored.
 
 In versions 3 and 4, l_min's first a-count is pnf_a's first a-run, which is
 its longest, and each later a-count difference is another of its a-runs, so
@@ -98,7 +104,6 @@ _PREFIX = struct.Struct("<8sI")
 _HEADER = struct.Struct("<8sI7Q")  # versions 1 to 3
 _CRC = struct.Struct("<I")
 _CRC_RESIDUE = 0x2144DF1C
-_CHUNK = 1 << 20
 
 # Struct code of each width, and the width for each number of bytes a value
 # needs, 0 to 8.
@@ -158,78 +163,53 @@ def serialize(index: CornerIndex, sink: BinaryIO) -> int:
     return sink.write(head + body + _CRC.pack(zlib.crc32(body, zlib.crc32(head))))
 
 
-def _read(source: BinaryIO, size: int) -> bytes:
-    """The next ``size`` bytes of source, or all that is left if fewer."""
-    # Read in bounded chunks: a header may claim far more entries than the
-    # stream holds, and a single read of that size would allocate it all.
-    chunks = []
-    while size:
-        chunk = source.read(min(size, _CHUNK))
-        if not chunk:
-            break
-        chunks.append(chunk)
-        size -= len(chunk)
-    return b"".join(chunks)
+def _need(raw: bytes, end: int, part: str) -> None:
+    """Refuse raw as a file cut short in ``part`` if it ends before offset
+    ``end``."""
+    if len(raw) < end:
+        raise CorruptIndexError(f"truncated {part}")
 
 
-def _read_header(source: BinaryIO, size: int) -> bytes:
-    """The next ``size`` bytes of a header. A stream may return fewer bytes
-    than asked before it ends (an unbuffered pipe), or None (a non-blocking
-    one with nothing ready), so a short read is topped up by ``_read``,
-    which takes None as the end; a full one is the only call."""
-    data = source.read(size) or b""
-    if len(data) != size:
-        data += _read(source, size - len(data))
-        if len(data) != size:
-            raise CorruptIndexError("truncated header")
-    return data
-
-
-def _read_pairs(
-    source: BinaryIO, count: int, name: str
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The a-counts and b-counts of the next ``count`` version 1 entries."""
-    data = _read(source, 16 * count)
-    if len(data) != 16 * count:
-        raise CorruptIndexError(f"truncated {name} payload")
-    flat = struct.unpack(f"<{2 * count}Q", data)
-    return flat[0::2], flat[1::2]
+def _ends(raw: bytes, start: int, widths: tuple[int, ...] | bytes,
+          k_min: int, k_max: int) -> tuple[int, int]:
+    """The offsets at which l_min's and l_max's entries end in raw, the
+    first entry at ``start`` and ``widths[i]`` bytes a value in column i,
+    each checked to lie within raw."""
+    mid = start + (widths[0] + widths[1]) * k_min
+    end = mid + (widths[2] + widths[3]) * k_max
+    _need(raw, mid, "l_min payload")
+    _need(raw, end, "l_max payload")
+    return mid, end
 
 
 def _read_columns(
-    source: BinaryIO, head: bytes, widths: tuple[int, ...] | bytes, k_min: int, k_max: int
-) -> tuple[bytes, tuple[tuple[int, ...], ...]]:
-    """The payload after ``head``, checked against the CRC32 that closes
-    it, and its four columns, ``widths[i]`` bytes a value in column i:
-    l_min a-counts, l_min b-counts, l_max a-counts, l_max b-counts."""
-    size_min = (widths[0] + widths[1]) * k_min
-    size = size_min + (widths[2] + widths[3]) * k_max
-    data = _read(source, size + _CRC.size)
-    if len(data) != size + _CRC.size:
-        if len(data) < size_min:
-            raise CorruptIndexError("truncated l_min payload")
-        if len(data) < size:
-            raise CorruptIndexError("truncated l_max payload")
-        raise CorruptIndexError("truncated checksum")
+    raw: bytes, start: int, widths: tuple[int, ...] | bytes, k_min: int, k_max: int
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The offset at which the payload at ``start`` ends, after it is
+    checked against the CRC32 that follows it, and its four columns,
+    ``widths[i]`` bytes a value in column i: l_min a-counts, l_min
+    b-counts, l_max a-counts, l_max b-counts."""
+    mid, end = _ends(raw, start, widths, k_min, k_max)
+    _need(raw, end + _CRC.size, "checksum")
     # CRC32 run over a message and then its own little-endian CRC always
-    # ends at the same residue, so the check needs no slice of the payload.
-    if zlib.crc32(data, zlib.crc32(head)) != _CRC_RESIDUE:
-        (stored,) = _CRC.unpack_from(data, size)
-        computed = zlib.crc32(data[:size], zlib.crc32(head))
+    # ends at the same residue, so the check is one pass. The slice is raw
+    # itself unless bytes follow the checksum.
+    if zlib.crc32(raw[:end + _CRC.size]) != _CRC_RESIDUE:
+        (stored,) = _CRC.unpack_from(raw, end)
         raise CorruptIndexError(
             f"checksum mismatch: the file stores CRC32 {stored:08x}, its "
-            f"header and payload give {computed:08x}"
+            f"header and payload give {zlib.crc32(raw[:end]):08x}"
         )
     # Each column straight into its tuple: per-column formats recur across
     # files, so struct's format cache serves most of them, and no tuple is
     # sliced.
     w1, w2, w3, w4 = widths
     unpack = struct.unpack_from
-    return data, (
-        unpack(f"<{k_min}{_CODES[w1]}", data),
-        unpack(f"<{k_min}{_CODES[w2]}", data, w1 * k_min),
-        unpack(f"<{k_max}{_CODES[w3]}", data, size_min),
-        unpack(f"<{k_max}{_CODES[w4]}", data, size_min + w3 * k_max),
+    return end, (
+        unpack(f"<{k_min}{_CODES[w1]}", raw, start),
+        unpack(f"<{k_min}{_CODES[w2]}", raw, start + w1 * k_min),
+        unpack(f"<{k_max}{_CODES[w3]}", raw, mid),
+        unpack(f"<{k_max}{_CODES[w4]}", raw, mid + w3 * k_max),
     )
 
 
@@ -277,18 +257,18 @@ def _exceeds_first(diffs: tuple[int, ...], tops: bytes, width: int) -> bool:
 
 
 def _check_first_runs(
-    data: bytes, widths: bytes, dxs_min: tuple[int, ...], dys_max: tuple[int, ...]
+    raw: bytes, start: int, end: int, widths: bytes,
+    dxs_min: tuple[int, ...], dys_max: tuple[int, ...],
 ) -> None:
     """Refuse l_min a-count differences (pnf_a's a-runs) or l_max b-count
     differences (pnf_b's b-runs) of which a later one exceeds the first: a
     prefix normal form's first run is its longest. l_min's a-counts open
-    the payload ``data`` and l_max's b-counts close it, before the CRC32;
-    values are little-endian, so a value's top byte is its last."""
+    the payload, at ``start`` in raw, and l_max's b-counts close it, at
+    ``end``; values are little-endian, so a value's top byte is its last."""
     w1, w4 = widths[0], widths[3]
-    end = len(data) - _CRC.size
-    if _exceeds_first(dxs_min, data[2 * w1 - 1:w1 * len(dxs_min):w1], w1):
+    if _exceeds_first(dxs_min, raw[start + 2 * w1 - 1:start + w1 * len(dxs_min):w1], w1):
         name, coord, form, diffs = "l_min", "a", "pnf_a", dxs_min
-    elif _exceeds_first(dys_max, data[end - w4 * (len(dys_max) - 2) - 1:end:w4], w4):
+    elif _exceeds_first(dys_max, raw[end - w4 * (len(dys_max) - 2) - 1:end:w4], w4):
         name, coord, form, diffs = "l_max", "b", "pnf_b", dys_max
     else:
         return
@@ -298,10 +278,11 @@ def _check_first_runs(
     )
 
 
-def _read_widths(source: BinaryIO, slots: tuple[str, ...]) -> bytes:
-    """The next width bytes, one for each of ``slots``, each checked to be
-    1, 2, 4 or 8; an unknown one is named by its slot."""
-    widths = _read_header(source, len(slots))
+def _read_widths(raw: bytes, start: int, slots: tuple[str, ...]) -> bytes:
+    """The width bytes at ``start`` in raw, one for each of ``slots``, each
+    checked to be 1, 2, 4 or 8; an unknown one is named by its slot."""
+    _need(raw, start + len(slots), "header")
+    widths = raw[start:start + len(slots)]
     # Stripping the known widths leaves the first unknown one in front.
     unknown = widths.strip(_WIDTH_BYTES)
     if unknown:
@@ -313,28 +294,30 @@ def _read_widths(source: BinaryIO, slots: tuple[str, ...]) -> bytes:
 
 
 def deserialize(source: BinaryIO) -> CornerIndex:
-    """Read an index back, validating every structural invariant."""
-    # As in _read_header, but the magic is checked before the length.
-    prefix = source.read(_PREFIX.size) or b""
-    if len(prefix) != _PREFIX.size:
-        prefix += _read(source, _PREFIX.size - len(prefix))
-    if prefix[:8] != MAGIC:
+    """Read an index back from a binary stream, validating every structural
+    invariant. The stream is read to its end unless its first bytes differ
+    from the magic's."""
+    raw = source.read(_PREFIX.size) or b""
+    # A stream that does not open like the magic is refused after this one
+    # read, so an endless one such as /dev/zero is never read to its end.
+    if MAGIC.startswith(raw[:8]):
+        raw += source.read() or b""
+    if raw[:8] != MAGIC:
         raise IndexFormatError("bad magic; not a corner-index file")
-    if len(prefix) != _PREFIX.size:
-        raise CorruptIndexError("truncated header")
-    _, version = _PREFIX.unpack(prefix)
+    _need(raw, _PREFIX.size, "header")
+    _, version = _PREFIX.unpack_from(raw)
     if version not in (1, 2, 3, 4):
         raise IndexFormatError(f"unsupported format version {version}")
     if version == 4:
-        widths = _read_widths(source, _SLOTS)
+        widths = _read_widths(raw, _PREFIX.size, _SLOTS)
         fields = _FIELDS[widths[0]]
-        raw = _read_header(source, fields.size)
-        k_min, k_max, peak_min, peak_max = fields.unpack(raw)
-        head = prefix + widths + raw
+        start = _PREFIX.size + len(_SLOTS) + fields.size
+        _need(raw, start, "header")
+        k_min, k_max, peak_min, peak_max = fields.unpack_from(raw, start - fields.size)
         widths = widths[1:]
     else:
-        head = prefix + _read_header(source, _HEADER.size - _PREFIX.size)
-        _, _, n, total_a, total_b, k_min, k_max, peak_min, peak_max = _HEADER.unpack(head)
+        _need(raw, _HEADER.size, "header")
+        _, _, n, total_a, total_b, k_min, k_max, peak_min, peak_max = _HEADER.unpack_from(raw)
         if n != total_a + total_b:
             raise CorruptIndexError("letter totals do not sum to the text length")
         # Both lists are strictly increasing in both coordinates, with
@@ -346,12 +329,13 @@ def deserialize(source: BinaryIO) -> CornerIndex:
                     f"{name} claims {count} entries; letter totals {total_a} and "
                     f"{total_b} allow at most {most}"
                 )
+        start = _HEADER.size
         if version == 3:
-            widths = _read_widths(source, ("column",) * 4)
-            head += widths
+            widths = _read_widths(raw, start, ("column",) * 4)
+            start += len(widths)
     if version >= 3:
-        data, (dxs_min, dys_min, dxs_max, dys_max) = _read_columns(
-            source, head, widths, k_min, k_max
+        end, (dxs_min, dys_min, dxs_max, dys_max) = _read_columns(
+            raw, start, widths, k_min, k_max
         )
         _check_differences(dxs_min, dys_min, "l_min")
         _check_differences(dxs_max, dys_max, "l_max")
@@ -359,12 +343,16 @@ def deserialize(source: BinaryIO) -> CornerIndex:
         l_max = CornerList._unchecked(tuple(accumulate(dxs_max)), tuple(accumulate(dys_max)))
     else:
         if version == 1:
-            xs_min, ys_min = _read_pairs(source, k_min, "l_min")
-            xs_max, ys_max = _read_pairs(source, k_max, "l_max")
+            # (a_count, b_count) pairs of u64s: 16 bytes an entry.
+            mid, _ = _ends(raw, start, (8, 8, 8, 8), k_min, k_max)
+            pairs_min = struct.unpack_from(f"<{2 * k_min}Q", raw, start)
+            pairs_max = struct.unpack_from(f"<{2 * k_max}Q", raw, mid)
+            xs_min, ys_min = pairs_min[0::2], pairs_min[1::2]
+            xs_max, ys_max = pairs_max[0::2], pairs_max[1::2]
         else:
             wa, wb = _width(total_a), _width(total_b)
             _, (xs_min, ys_min, xs_max, ys_max) = _read_columns(
-                source, head, (wa, wb, wa, wb), k_min, k_max
+                raw, start, (wa, wb, wa, wb), k_min, k_max
             )
         l_min = _validated_list(xs_min, ys_min, "l_min")
         l_max = _validated_list(xs_max, ys_max, "l_max")
@@ -376,7 +364,7 @@ def deserialize(source: BinaryIO) -> CornerIndex:
     # The constructor checks the anchors that tie the two lists together.
     index = CornerIndex(l_min, l_max, peak_min, peak_max)
     if version >= 3:
-        _check_first_runs(data, widths, dxs_min, dys_max)
+        _check_first_runs(raw, start, end, widths, dxs_min, dys_max)
     return index
 
 
@@ -387,5 +375,7 @@ def save_index(index: CornerIndex, path: str) -> int:
 
 
 def load_index(path: str) -> CornerIndex:
+    """Read the index in the file at path, as ``deserialize`` reads a
+    stream."""
     with open(path, "rb") as fh:
         return deserialize(fh)

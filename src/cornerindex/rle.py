@@ -56,6 +56,27 @@ class MalformedEncodingError(ValueError):
     """Raised when run lengths violate the padded-encoding invariants."""
 
 
+def _integral(v) -> int | None:
+    """A count given as another numeric type (numpy integer, 3.0,
+    Fraction(3), True) as the int it equals, or None when it is not
+    integral. Text is refused: ``"%d" % 1`` would format, not test."""
+    if isinstance(v, (str, bytes, bytearray)):
+        raise TypeError(f"a count must be a number, not {type(v).__name__}")
+    return None if v % 1 else int(v)
+
+
+def _count(v, name: str, error: type[ValueError] = ValueError) -> int:
+    """The count v as an int: an int as it is, an integral value of another
+    numeric type as the int it equals. A value that is not integral raises
+    ``error``, naming v as a ``name``; text raises TypeError."""
+    if type(v) is int:
+        return v
+    count = _integral(v)
+    if count is None:
+        raise error(f"{name} {v} is not an integer")
+    return count
+
+
 class _Record:
     """Base of the package's value classes, written out by hand because
     importing ``dataclasses`` would cost every command-line start about
@@ -101,8 +122,8 @@ class RunLengthEncoding(_Record):
     _fields = ("a_runs", "b_runs")
 
     def __init__(self, a_runs: Iterable[int], b_runs: Iterable[int]):
-        a = tuple(int(u) for u in a_runs)
-        b = tuple(int(v) for v in b_runs)
+        a = tuple(_count(u, "a-run", MalformedEncodingError) for u in a_runs)
+        b = tuple(_count(v, "b-run", MalformedEncodingError) for v in b_runs)
         if len(a) != len(b):
             raise MalformedEncodingError(
                 f"a_runs and b_runs must pair up ({len(a)} vs {len(b)} entries)"

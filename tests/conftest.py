@@ -331,13 +331,15 @@ def reference_deserialize(source):
     """``persist.deserialize`` of a version 1 file as it was before the
     tuple-slicing loader: entries read as a list of pairs, each list checked
     by the per-entry loop and the anchors read off the pairs."""
-    from cornerindex.persist import _CHUNK, _HEADER, MAGIC, CorruptIndexError, IndexFormatError
+    from cornerindex.persist import _HEADER, MAGIC, CorruptIndexError, IndexFormatError
+
+    chunk_size = 1 << 20  # bounded reads: a header may claim 2^58 entries
 
     def read_pairs(count, name):
         chunks = []
         missing = 16 * count
         while missing:
-            chunk = source.read(min(missing, _CHUNK))
+            chunk = source.read(min(missing, chunk_size))
             if not chunk:
                 raise CorruptIndexError(f"truncated {name} payload")
             chunks.append(chunk)

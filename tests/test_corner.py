@@ -115,6 +115,36 @@ class TestCornerList:
         with pytest.raises(ValueError):
             CornerList([(-1, 0)])
 
+    def test_counts_follow_the_query_rule(self):
+        # as in query: integral values of other numeric types are stored as
+        # the ints they equal, other numbers raise ValueError and text
+        # TypeError, in the constructor and in both dominance filters
+        np = pytest.importorskip("numpy")
+        cl = CornerList([(np.int64(1), 0.0), (Fraction(3), True), (np.uint64(4), 2)])
+        assert (cl.xs, cl.ys) == ((1, 3, 4), (0, 1, 2))
+        assert all(type(v) is int for v in cl.xs + cl.ys)
+        assert assemble_lmin([(np.int64(3), 0.0), (Fraction(5), 2)]) == CornerList([(3, 0), (5, 2)])
+        assert assemble_lmax([(0.0, np.int8(3)), (2, Fraction(5))]) == CornerList([(0, 3), (2, 5)])
+        for make in (CornerList, assemble_lmin, assemble_lmax):
+            for points, message in (([(3, 0.9)], "b-count 0.9"), ([(1.5, 0)], "a-count 1.5"),
+                                    ([(2, np.float64(0.5))], "b-count 0.5"),
+                                    ([(float("nan"), 1)], "a-count nan"),
+                                    ([(1, 1), (float("inf"), 2)], "a-count inf")):
+                with pytest.raises(ValueError, match=f"^{message} is not an integer$"):
+                    make(points)
+            for points in ([("3", 0)], [(3, b"0")], [(1, 0), (2, "1")], [(bytearray(b"3"), 0)]):
+                with pytest.raises(TypeError, match="^a count must be a number, not "):
+                    make(points)
+
+    def test_slices_and_foreign_equality(self):
+        l_min = build_index(EXAMPLE).l_min
+        assert l_min[1:3] == ((5, 2), (7, 4)) and type(l_min[1:3]) is tuple
+        assert l_min[::-2] == ((9, 6), (5, 2)) and l_min[9:] == ()
+        # a list of the same pairs is another value
+        assert l_min != EXAMPLE_LMIN and l_min != tuple(EXAMPLE_LMIN)
+        assert l_min.__eq__(EXAMPLE_LMIN) is NotImplemented
+        assert list(l_min) == EXAMPLE_LMIN and l_min == CornerList(EXAMPLE_LMIN)
+
 
 class TestConstruction:
     def test_worked_example(self):

@@ -688,6 +688,73 @@ def test_stalled_reads(buffered):
                 type(full.value), str(full.value))
 
 
+class Zeros(io.RawIOBase):
+    """An endless unbuffered stream of zero bytes, as /dev/zero is, that
+    counts its reads."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        self.reads += 1
+        buf[:] = bytes(len(buf))
+        return len(buf)
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["raw", "buffered"])
+def test_endless_stream_gets_bad_magic(buffered):
+    # only a stream that opens like the magic is read to its end
+    zeros = Zeros()
+    with pytest.raises(IndexFormatError, match="bad magic"):
+        deserialize(io.BufferedReader(zeros) if buffered else zeros)
+    assert 1 <= zeros.reads <= 2
+
+
+class Reads(io.BytesIO):
+    """A stream over raw that records the size of each read."""
+
+    def __init__(self, raw):
+        super().__init__(bytes(raw))
+        self.sizes = []
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return super().read(size)
+
+
+def test_stream_is_read_once():
+    # the 12-byte prefix, then the rest to the end: no size the header
+    # claims becomes a read, so 2^58 entries allocate nothing
+    good = example_bytes(4)
+    huge = good[:12] + bytes([8, 1, 1, 1, 1]) + struct.pack("<4Q", 1 << 58, 5, 4, 5) + good[21:]
+    for version in VERSIONS:
+        stream = Reads(example_bytes(version))
+        assert deserialize(stream) == build_index(EXAMPLE)
+        assert stream.sizes == [12, -1]
+    stream = Reads(huge)
+    with pytest.raises(CorruptIndexError, match="truncated l_min payload"):
+        deserialize(stream)
+    assert stream.sizes == [12, -1]
+
+
+def test_bytes_after_the_file_are_ignored(tmp_path):
+    # the stream is read to its end; the file is the bytes its header
+    # claims, and whatever follows them is ignored
+    index = build_index(EXAMPLE)
+    path = tmp_path / "junk.cix"
+    for version in VERSIONS:
+        raw = bytes(example_bytes(version))
+        for junk in (b"\0", b"junk", raw, bytes(range(256)) * 4096):
+            path.write_bytes(raw + junk)
+            for back in (load(raw + junk), load_index(str(path)),
+                         deserialize(Trickle(raw + junk[:64], 7))):
+                assert back == index
+                assert (back.peak_min, back.peak_max) == (index.peak_min, index.peak_max)
+
+
 class TestSilentCorruption:
     """Rewriting the l_max entry (2, 5) as (1, 4), two counts, keeps the
     list monotone and inside the letter totals but turns bmax(2) from 5

@@ -1,5 +1,6 @@
 import copy
 import pickle
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -110,6 +111,27 @@ def test_malformed_encoding_messages(a_runs, b_runs, message):
     with pytest.raises(MalformedEncodingError) as exc:
         RunLengthEncoding(b_runs=b_runs, a_runs=a_runs)
     assert str(exc.value) == message
+
+
+def test_run_lengths_follow_the_count_rule():
+    # integral values of other numeric types are the ints they equal; other
+    # numbers are malformed run lengths, and text has the wrong type
+    same = RunLengthEncoding([2.0, Fraction(1)], [np.uint8(1), 0.0])
+    assert same == RunLengthEncoding([2, 1], [1, 0])
+    assert all(type(v) is int for v in same.a_runs + same.b_runs)
+    for a_runs, b_runs, message in (
+        ([2.7], [1.2], "a-run 2.7"),
+        ([2], [1.2], "b-run 1.2"),
+        ([1, np.float64(0.5)], [1, 0], "a-run 0.5"),
+        ([float("inf")], [0], "a-run inf"),
+        ([1], [float("nan")], "b-run nan"),
+    ):
+        with pytest.raises(MalformedEncodingError, match=f"^{message} is not an integer$"):
+            RunLengthEncoding(a_runs, b_runs)
+    for bad in ("3", b"3", bytearray(b"3")):
+        for a_runs, b_runs in (([bad], [2]), ([3], [bad])):
+            with pytest.raises(TypeError, match=f"^a count must be a number, not {type(bad).__name__}$"):
+                RunLengthEncoding(a_runs, b_runs)
 
 
 def test_encoding_is_a_frozen_value():
