@@ -42,13 +42,19 @@ python3 -m cornerindex experiment --count 20 --length 512 --seed 11
 python3 -m cornerindex experiment --count 20 --length 512 --seed 11 --run-geometric 0.3 --format jsonl
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
+# 3,000 fair-coin characters (766 run pairs): each sweep forms 20 dense
+# blocks, every one reading its row table.
 python3 -c 'import random; r = random.Random(7); print("".join(r.choice("ab") for _ in range(3000)))' > "$dir/smoke.txt"
 python3 -m cornerindex verify --input "$dir/smoke.txt"
-# 3,000 characters in runs of 1 to 60 (56 run pairs): both sweeps are sparse
-# from the first block, so every block bounds the staircase a chunk of spans
-# at a time, checked here against the brute-force oracle.
+# Texts whose sweeps are sparse from the first block, so every block bounds
+# the staircase a chunk of spans at a time, checked here against the
+# brute-force oracle: 3,000 characters in runs of 1 to 60 (56 run pairs)
+# form 2 sparse blocks a sweep, and 4,000 characters in runs of 1 to 30
+# (142 run pairs) form 10, of 1,024 spans or more each but the last.
 python3 -c 'import random; r = random.Random(7); print("".join("ab"[i % 2] * r.randint(1, 60) for i in range(200))[:3000])' > "$dir/runs.txt"
 python3 -m cornerindex verify --input "$dir/runs.txt"
+python3 -c 'import random; r = random.Random(7); print("".join("ab"[i % 2] * r.randint(1, 30) for i in range(400))[:4000])' > "$dir/runs30.txt"
+python3 -m cornerindex verify --input "$dir/runs30.txt"
 python3 -m cornerindex build --input "$dir/smoke.txt" --index "$dir/smoke.cix"
 python3 -m cornerindex bench --index "$dir/smoke.cix" --count 20000
 python3 -m cornerindex pnf --index "$dir/smoke.cix" > /dev/null

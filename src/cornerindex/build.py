@@ -30,6 +30,11 @@ sweep has at most ``_BLOCK`` spans and when it is traced: the optional
 The candidate lists for the order-independence check come from the same
 span generator.
 
+Three budgets size the work, each for its own reason: ``_BLOCK`` spans is
+the most a sweep runs on plain ints; a dense block holds at most
+``_DENSE_CELLS * _BLOCK`` cells; a sparse block gathers short rows until
+they hold ``_SPARSE_BLOCK`` spans. None changes a list or a peak.
+
 numpy is imported by the first sweep that takes the block path, so loading
 and querying an index, or building one of at most ``_BLOCK`` spans, never
 imports it.
@@ -93,17 +98,21 @@ class BuildTrace(_Record):
             lst[:] = [(b, a) for (a, b) in lst]
 
 
-# Spans per sparse numpy block; short rows are grouped, since one block per
-# short row would pay numpy's per-call cost on tiny rows. A sweep of at most
-# this many spans runs on plain ints and does without numpy: on fair-coin
-# text the block path only catches up at about 300 spans, and below 512 it
-# saves at most some 40 us a sweep, far less than numpy's import (about
-# 0.1 s) costs a command-line build.
+# A sweep of at most this many spans runs on plain ints and does without
+# numpy: on fair-coin text the block path only catches up at about 300
+# spans, and below 512 it saves at most some 40 us a sweep, far less than
+# numpy's import (about 0.1 s) costs a command-line build.
 _BLOCK = 512
 # A dense block is a rectangle of at most _DENSE_CELLS * _BLOCK cells, or one
 # longer row, whose row table holds at most _TABLE cells per span.
 _DENSE_CELLS = 32
 _TABLE = 8
+# Spans per sparse block; short rows are grouped, since each block pays
+# some 15 numpy calls and one _feed call whatever its size, while a larger
+# block tests more spans against an older staircase, so more reach _feed.
+# On 10^6 characters in 2,000 random runs, 1,024 builds about 15% faster
+# than 512 or 4,096, and as fast as 1,536.
+_SPARSE_BLOCK = 1024
 # Cells per chunk of a sparse row, the unit the staircase bound drops whole.
 _CHUNK = 16
 
@@ -129,8 +138,8 @@ def _blocks(
     least as many a's, so those two rows give its range before it is
     formed. The sweep turns sparse for good at the first block whose row
     table would hold more than ``_TABLE`` cells per span; from that block
-    on, rows of at least ``_BLOCK`` spans stay alone and shorter rows are
-    grouped until they hold ``_BLOCK`` spans. Spans are those of
+    on, rows of at least ``_SPARSE_BLOCK`` spans stay alone and shorter rows
+    are grouped until they hold ``_SPARSE_BLOCK`` spans. Spans are those of
     ``first_runs``, with ``second`` the runs between them. numpy is
     imported here, so only a sweep that takes the block path loads it.
     """
@@ -157,7 +166,7 @@ def _blocks(
             dense = g * width <= _TABLE * (g * w - g * (g - 1) // 2)
         if not dense:
             g, m = 1, w
-            while m < _BLOCK and g < w:
+            while m < _SPARSE_BLOCK and g < w:
                 m += w - g
                 g += 1
         # Row d of the window (shape, dtype, buffer, offset, strides) that
@@ -307,14 +316,16 @@ def _sweep(
 
     A traced sweep, or one of at most ``_BLOCK`` spans, is the sequential
     sweep: every span, in (k, i) order, through the sequential step. Any
-    other forms its spans one numpy block of rows at a time (``_blocks``),
-    prefilters each block against the staircase as it stood at the block's
-    start and, while dense, against the block's earlier rows
-    (``_undominated``), and sends the survivors through the sequential step
-    in order. Candidates with x == 0
-    come only from a zero-length padding run; they are traced but skipped,
-    and a list left empty gets the boundary entry (0, 0). The peak is the
-    largest size the working list reaches right after an insertion.
+    other forms its spans one numpy block of rows at a time (``_blocks``:
+    dense blocks of up to ``_DENSE_CELLS * _BLOCK`` cells, sparse ones of
+    rows grouped to ``_SPARSE_BLOCK`` spans), prefilters each block
+    against the staircase as it stood at the block's start and, while
+    dense, against the block's earlier rows (``_undominated``), and sends
+    the survivors through the sequential step in order. Candidates with
+    x == 0 come only from a zero-length padding run; they are traced but
+    skipped, and a list left empty gets the boundary entry (0, 0). The
+    peak is the largest size the working list reaches right after an
+    insertion.
     """
     r = len(first_runs)
     # The second-coordinate runs that separate consecutive first runs, so

@@ -271,6 +271,8 @@ def cmd_verify(args) -> int:
         raise _UsageError("verify: provide exactly one of --input or --count")
     if args.input is None and args.length is None:
         raise _UsageError("verify: --count requires --length")
+    if args.max_oracle_n is not None and args.max_oracle_n < 0:
+        raise _UsageError("verify: --max-oracle-n must be at least 0")
     texts = _corpus(args, draw_lengths=True)
     max_n = DEFAULT_MAX_TEXT if args.max_oracle_n is None else args.max_oracle_n
     failures = 0

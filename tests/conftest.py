@@ -3,6 +3,7 @@ import struct
 import zlib
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
+from unittest import mock
 
 from cornerindex.build import BuildTrace, build_lmax, build_lmin, index_from_rle
 from cornerindex.corner import CornerIndex, CornerList, _pnf_runs
@@ -93,6 +94,18 @@ def assert_matches_reference(rle):
         assert list(built) == points
         assert peak == ref_peak
         assert trace == ref_trace
+
+
+def block_sizes(plain, sparse=None):
+    """Patch the sweep's plain-int threshold (``build._BLOCK``, which also
+    sizes dense blocks) and its sparse block budget (``build._SPARSE_BLOCK``,
+    ``plain`` unless given), so that small inputs reach every kind of
+    block."""
+    return mock.patch.multiple(
+        "cornerindex.build",
+        _BLOCK=plain,
+        _SPARSE_BLOCK=plain if sparse is None else sparse,
+    )
 
 
 def reference_query(index, x, y):

@@ -378,6 +378,10 @@ _FAILURES = {
     "verify-length": (["verify", "--count", "3"], "verify: --count requires --length"),
     "bench-count": (["bench", "--index", "{dir}/text.cix", "--count", "0"],
                     "bench: --count must be at least 1"),
+    # refused before the text is read, so the missing file is not opened
+    "oracle-bound-negative": (
+        ["verify", "--input", "{dir}/missing.txt", "--max-oracle-n", "-5"],
+        "verify: --max-oracle-n must be at least 0"),
     "oracle-bound": (["verify", "--input", "{dir}/long.txt"],
                      "error: text of length 5000 exceeds the brute-force bound 4096"),
     "missing-index": (["query", "--index", "{dir}/missing.cix"],
@@ -506,6 +510,17 @@ class TestVerify:
         code = main(["verify", "--input", str(p), "--max-oracle-n", "50"])
         assert code == 2
         assert "exceeds the brute-force bound" in capsys.readouterr().err
+
+    def test_negative_oracle_bound_refused(self, capsys, tmp_path):
+        # a bound below 0 is a usage error, while 0 admits the empty text
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        assert main(["verify", "--input", str(empty), "--max-oracle-n", "-5"]) == 2
+        assert capsys.readouterr().err == "verify: --max-oracle-n must be at least 0\n"
+        assert main(["verify", "--input", str(empty), "--max-oracle-n", "0"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "oracle-grid: PASS", "interval-lemma: PASS",
+            "run-span-witnesses: PASS", "pnf-relations: PASS"]
 
 
 class TestExperiment:

@@ -24,6 +24,7 @@ from conftest import (
     HUGE_RUNS,
     all_binary_strings,
     assert_matches_reference,
+    block_sizes,
     index_bytes,
     reference_corner_points,
     reference_length_tables,
@@ -244,6 +245,16 @@ def _shapes():
     }
 
 
+def _runs_long_shape():
+    """2,000 random runs over 10^6 characters, cut as bench/run.py cuts its
+    runs-long text."""
+    rng = random.Random(2000)
+    n = 10 ** 6
+    cuts = sorted(rng.sample(range(1, n), 1999))
+    runs = [end - start for start, end in zip([0, *cuts], [*cuts, n])]
+    return RunLengthEncoding(tuple(runs[0::2]), tuple(runs[1::2]))
+
+
 def _sweeps(rle):
     """build._blocks's arguments for the l_min and the l_max sweep."""
     return [(rle.a_runs, rle.b_runs), (rle.b_runs, rle.a_runs[1:])]
@@ -405,21 +416,21 @@ class TestBatchedSweep:
         block, (lo, hi), first, second = _PREFILTER_MODES["chunked"]
         rng = random.Random("chunked")
         chunked = _random_runs(rng, rng.randint(lo, hi), first, second)
-        sweeps = [(sweep, build._BLOCK)
+        sweeps = [(sweep, (build._BLOCK, build._SPARSE_BLOCK))
                   for rle in _shapes().values() for sweep in _sweeps(rle)]
-        sweeps += [(sweep, block) for sweep in _sweeps(chunked)]
+        sweeps += [(sweep, (block, block)) for sweep in _sweeps(chunked)]
         seen = set()
-        for sweep, size in sweeps:
+        for sweep, (plain, sparse) in sweeps:
             r = len(sweep[0])
             spans = iter(build._spans(*sweep))
             # the a-counts of the spans of each length k, at index k - 1
             rows = [[next(spans)[0] for _ in range(r - k + 1)] for k in range(1, r + 1)]
             dense, k = True, 1
-            with mock.patch.object(build, "_BLOCK", size):
+            with block_sizes(plain, sparse):
                 for x, _, table in build._blocks(*sweep):
                     g, w = x.shape
                     if dense:
-                        g_dense = max(1, min(w, build._DENSE_CELLS * size // w))
+                        g_dense = max(1, min(w, build._DENSE_CELLS * plain // w))
                         xs = [v for row in rows[k - 1 : k - 1 + g_dense] for v in row]
                         spans_dense = g_dense * w - g_dense * (g_dense - 1) // 2
                         dense = (g_dense * (max(xs) - min(xs) + 1)
@@ -441,7 +452,7 @@ class TestBatchedSweep:
         for mode in sorted(_PREFILTER_MODES):
             block, (lo, hi), first, second = _PREFILTER_MODES[mode]
             rle = _random_runs(rng, rng.randint(lo, hi), first, second)
-            with mock.patch.object(build, "_BLOCK", block):
+            with block_sizes(block):
                 for sweep in _sweeps(rle):
                     xs, ys = [], []
                     for x, y, table in build._blocks(*sweep):
@@ -473,7 +484,7 @@ class TestBatchedSweep:
         block, (lo, hi), first, second = _PREFILTER_MODES[mode]
         rng = random.Random(mode)
         reached = set()
-        with mock.patch.object(build, "_BLOCK", block):
+        with block_sizes(block):
             for _ in range(12):
                 rle = _random_runs(rng, rng.randint(lo, hi), first, second)
                 for sweep, drop_last in zip(_sweeps(rle), (True, False)):
@@ -555,20 +566,38 @@ class TestBatchedSweep:
         # text is cut, form no dense block in either sweep (at 10^5
         # characters the same cuts form dense ones); fair-coin text forms no
         # sparse block.
-        rng = random.Random(2000)
-        n = 10 ** 6
-        cuts = sorted(rng.sample(range(1, n), 1999))
-        runs = [end - start for start, end in zip([0, *cuts], [*cuts, n])]
-        rle = RunLengthEncoding(tuple(runs[0::2]), tuple(runs[1::2]))
-        for sweep in _sweeps(rle):
+        for sweep in _sweeps(_runs_long_shape()):
             assert not any(dense for dense, _, _ in _block_modes(*sweep))
         for sweep in _sweeps(_shapes()["coin"]):
             assert all(dense for dense, _, _ in _block_modes(*sweep))
 
-    @given(run_lists(), st.sampled_from([1, 2, 3, 8, 64]))
+    def test_sparse_blocks_group_rows_to_their_budget(self):
+        # Sparse blocks gather whole rows until they hold _SPARSE_BLOCK
+        # spans: every block but the last holds at least that many, and
+        # without its last row it would hold fewer. Dense blocks never read
+        # the sparse budget.
+        budget = build._SPARSE_BLOCK
+        for sweep in _sweeps(_runs_long_shape()):
+            modes = _block_modes(*sweep)
+            assert sum(rows for _, rows, _ in modes) == len(sweep[0])
+            assert any(rows > 1 for _, rows, _ in modes)
+            for i, (dense, rows, w) in enumerate(modes):
+                spans = rows * w - rows * (rows - 1) // 2
+                assert not dense
+                assert spans >= budget or i == len(modes) - 1
+                assert spans - (w - rows + 1) < budget
+            with mock.patch.object(build, "_SPARSE_BLOCK", 2 * budget):
+                assert len(_block_modes(*sweep)) < len(modes)
+        for sweep in _sweeps(_shapes()["coin"]):
+            modes = _block_modes(*sweep)
+            with mock.patch.object(build, "_SPARSE_BLOCK", 1):
+                assert _block_modes(*sweep) == modes
+
+    @given(run_lists(), st.sampled_from([1, 2, 3, 8, 64]),
+           st.sampled_from([1, 2, 3, 8, 64]))
     @settings(max_examples=200, deadline=None)
-    def test_any_runs_any_block_size(self, rle, block):
-        with mock.patch.object(build, "_BLOCK", block):
+    def test_any_runs_any_block_size(self, rle, plain, sparse):
+        with block_sizes(plain, sparse):
             assert_matches_reference(rle)
 
     def test_small_block_sizes_reach_every_block_kind(self):
@@ -577,7 +606,7 @@ class TestBatchedSweep:
         rng = random.Random(12)
         kinds = set()
         for block in (1, 2, 3, 8, 64):
-            with mock.patch.object(build, "_BLOCK", block):
+            with block_sizes(block):
                 for _ in range(30):
                     r = rng.randint(1, 60)
                     rle = _random_runs(rng, r, _run_list_run, _run_list_run)

@@ -1,14 +1,13 @@
 import copy
 import pickle
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import HUGE_RUNS, assert_matches_reference
+from conftest import HUGE_RUNS, assert_matches_reference, block_sizes
 from cornerindex import build
 from cornerindex.rle import (
     MAX_TEXT_LENGTH,
@@ -170,7 +169,7 @@ def test_huge_runs_build_exactly(a_runs, b_runs):
     # the numpy sweep works in uint64 (block size 1 sends these few runs
     # through it); sums near the limit must not wrap
     for block in (1, build._BLOCK):
-        with mock.patch.object(build, "_BLOCK", block):
+        with block_sizes(block):
             assert_matches_reference(RunLengthEncoding(a_runs, b_runs))
 
 
