@@ -13,7 +13,7 @@ A command-line start imports only what its subcommand runs: the
 construction sweep is imported by ``build``, ``pnf --input``, ``verify``
 and ``experiment``, the brute-force oracle by ``verify``, the prefix
 normal forms by ``pnf`` and ``verify``, the random text generators by the
-commands that draw texts, and ``json`` by ``--format jsonl``.
+commands that draw texts, and ``json`` by ``experiment --format jsonl``.
 """
 
 from __future__ import annotations
@@ -86,10 +86,10 @@ def _map_out(s: str, alphabet: str) -> str:
 
 
 def _emit(fmt: str, fields: list[tuple[str, object]]) -> None:
+    """Print one record of named fields. Each value is an int or a number
+    already formatted as text, so jsonl writes it as it stands, a number."""
     if fmt == "jsonl":
-        import json
-
-        print(json.dumps(dict(fields)))
+        print("{" + ", ".join(f'"{k}": {v}' for k, v in fields) + "}")
     elif fmt == "tsv":
         print("\t".join(k for k, _ in fields))
         print("\t".join(str(v) for _, v in fields))
@@ -420,8 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("experiment", help="tabulate list sizes over random strings")
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--length", type=int, default=1024)
+    p.add_argument("--count", type=int, default=100,
+                   help="number of random strings (default: %(default)s)")
+    p.add_argument("--length", type=int, default=1024,
+                   help="length of each random string (default: %(default)s)")
     p.add_argument("--run-geometric", type=float, metavar="P",
                    help="draw run lengths geometrically with parameter P")
     p.add_argument("--input", help="fixed text file instead of random strings")
@@ -429,8 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("bench", help="time random queries against an index")
-    p.add_argument("--index", required=True)
-    p.add_argument("--count", type=int, default=10000)
+    p.add_argument("--index", required=True, help="index file to load")
+    p.add_argument("--count", type=int, default=10000,
+                   help="number of random queries (default: %(default)s)")
     _add_common(p, "format", "seed")
     p.set_defaults(func=cmd_bench)
 

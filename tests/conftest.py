@@ -1,10 +1,13 @@
+import copy
 import itertools
 import struct
 import zlib
+from array import array
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from unittest import mock
 
+from cornerindex import build
 from cornerindex.build import BuildTrace, build_lmax, build_lmin, index_from_rle
 from cornerindex.corner import CornerIndex, CornerList, _pnf_runs
 from cornerindex.rle import MAX_TEXT_LENGTH
@@ -106,6 +109,58 @@ def block_sizes(plain, sparse=None):
         _BLOCK=plain,
         _SPARSE_BLOCK=plain if sparse is None else sparse,
     )
+
+
+def walk_blocks(first_runs, second):
+    """Run ``build._sweep``'s block path over ``build._blocks``'s arguments
+    at the block sizes in force. Returns each block as (x, y, table, the
+    staircase at its start, the positions ``_undominated`` kept, the mask
+    of its cells that hold a span) and every survivor fed, in order. Checks
+    on the way that ``_undominated`` keeps the same positions on a deep
+    copy and changes nothing there but a sparse block's y cells past a
+    row's end, which it sets to the sentinel, that a dense block's table is
+    its formed range, and that the blocks, held to the end, list ``_spans``."""
+    import numpy as np
+
+    xs, ys = [], []
+    blocks, survivors = [], []
+    for x, y, table in build._blocks(first_runs, second):
+        g, w = x.shape
+        in_row = np.arange(w) < w - np.arange(g)[:, None]  # cell i of row d: i < w - d
+        # the uint64 staircase mirror, with its "no successor" sentinel
+        mx, my = array("Q", xs), array("Q", [*ys, MAX_TEXT_LENGTH])
+        args = (x, y, table, mx, my)
+        twin = copy.deepcopy(args)
+        keep = build._undominated(*twin).tolist()
+        same = twin[1] == y
+        if table is None:  # cells past a row's end hold the sentinel
+            same = np.where(in_row, same, twin[1] == MAX_TEXT_LENGTH)
+        else:
+            assert table == (x.max(), int(x.max() - x.min()) + 1)
+        assert same.all() and np.array_equal(twin[0], x) and twin[2:] == args[2:]
+        assert build._undominated(*args).tolist() == keep
+        blocks.append((x, y, table, list(zip(xs, ys)), keep, in_row))
+        kept = list(zip(x.take(keep).tolist(), y.take(keep).tolist()))
+        survivors += kept
+        build._feed(xs, ys, kept)
+    held = []
+    for x, y, *_, in_row in blocks:
+        held += zip(x[in_row].tolist(), y[in_row].tolist())
+    assert held == list(build._spans(first_runs, second))
+    return blocks, survivors
+
+
+def one_row_survivors(first_runs, second):
+    """The survivors of one-row blocks, each row tested against the
+    staircase as it stood at the row's start, from the plain span list."""
+    spans = build._spans(first_runs, second)
+    xs, ys, survivors = [], [], []
+    for w in range(len(first_runs), 0, -1):
+        kept = [(x, y) for x, y in itertools.islice(spans, w)
+                if not any(sx >= x and sy <= y for sx, sy in zip(xs, ys))]
+        survivors += kept
+        build._feed(xs, ys, kept)
+    return survivors
 
 
 def reference_query(index, x, y):

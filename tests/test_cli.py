@@ -139,7 +139,8 @@ class TestBuild:
         head, elapsed = out.split(', "elapsed_s": ')
         assert head == ('{"n": 18, "rho": 10, "lmin": 4, "lmax": 5, '
                         '"peak_min": 4, "peak_max": 5, "bytes": 43')
-        assert re.fullmatch(r'"\d+\.\d{3}"}\n', elapsed)
+        assert re.fullmatch(r'\d+\.\d{3}}\n', elapsed)
+        assert type(json.loads(out)["elapsed_s"]) is float
 
     def test_stdin(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(sys, "stdin", _stdin(b"abba\n"))
@@ -243,6 +244,18 @@ class TestQuery:
         assert "4 4 occurs" in captured.out
         assert "line 2: malformed query" in captured.err
         assert "line 3: malformed query" in captured.err
+
+    def test_line_grammar_is_int(self, capsys, monkeypatch, example_index):
+        # a line is two integers as int() reads them: a sign, leading zeros,
+        # single underscores between digits and surrounding whitespace pass;
+        # a base prefix, a decimal point or an exponent makes it malformed
+        monkeypatch.setattr(sys, "stdin", _stdin(
+            b"1_0 0\n+3 -0\n 003\t3 \n0x3 1\n3.0 1\n1e3 0\n"))
+        assert main(["query", "--index", example_index]) == 2
+        out, err = capsys.readouterr()
+        assert out.splitlines() == ["10 0 not-occurs", "3 0 occurs", "3 3 occurs"]
+        assert [line.split(":")[0] for line in err.splitlines()] == [
+            "line 4", "line 5", "line 6"]
 
     def test_non_ascii_byte(self, capsys, monkeypatch, tmp_path, example_index):
         q = tmp_path / "queries.txt"
@@ -606,6 +619,11 @@ class TestBench:
         assert main(["bench", "--index", example_index, "--count", "400",
                      "--seed", "4", "--format", "jsonl"]) == 0
         row = json.loads(capsys.readouterr().out)
+        # every field is a JSON number; only the percentiles and elapsed_s
+        # have a fractional part
+        for key in ("p50_us", "p90_us", "p99_us", "max_us", "elapsed_s"):
+            assert type(row.pop(key)) is float
+        assert all(type(value) is int for value in row.values())
         assert row["queries"] == 400
         assert row["occurs"] + row["not_occurs"] == 400
         index = load_index(example_index)

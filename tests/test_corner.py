@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import io
+import itertools
 import pickle
 import random
 import sys
@@ -26,10 +27,12 @@ from conftest import (
     assert_matches_reference,
     block_sizes,
     index_bytes,
+    one_row_survivors,
     reference_corner_points,
     reference_length_tables,
     reference_query,
     reference_sweep,
+    walk_blocks,
 )
 from cornerindex import build
 from cornerindex.build import (
@@ -46,7 +49,7 @@ from cornerindex.build import (
 from cornerindex.corner import CornerIndex, CornerList, CorruptIndexError
 from cornerindex.oracle import bmin_bmax_naive, parikh_set_bruteforce, sliding_window_query
 from cornerindex.persist import deserialize, load_index, save_index, serialize
-from cornerindex.rle import MAX_TEXT_LENGTH, RunLengthEncoding, encode
+from cornerindex.rle import RunLengthEncoding, encode
 from cornerindex.textgen import coin_string, geometric_run_string
 
 binary_strings = st.text(alphabet="ab", max_size=80)
@@ -260,16 +263,13 @@ def _sweeps(rle):
     return [(rle.a_runs, rle.b_runs), (rle.b_runs, rle.a_runs[1:])]
 
 
-def _block_modes(first_runs, second):
-    """(dense, rows, cells per row) of each block the block path forms over
-    these runs."""
-    return [(table is not None, *x.shape)
-            for x, _, table in build._blocks(first_runs, second)]
+def _modes(blocks):
+    """(dense, rows, cells per row) of each of walk_blocks's blocks."""
+    return [(table is not None, *x.shape) for x, _, table, *_ in blocks]
 
 
-def _block_kinds(first_runs, second):
-    """The kinds of block the block path forms over these runs."""
-    modes = _block_modes(first_runs, second)
+def _block_kinds(modes):
+    """The kinds of block among these modes."""
     kinds = set()
     if any(dense and rows > 1 for dense, rows, _ in modes):
         kinds.add("dense rows")
@@ -289,6 +289,41 @@ def _block_kinds(first_runs, second):
 _ALL_BLOCK_KINDS = {"dense rows", "sparse", "masked cells", "switch", "chunked"}
 
 
+def _walked(rle):
+    """(first runs, modes) of both sweeps of rle at the block sizes in force."""
+    return [(sweep[0], _modes(walk_blocks(*sweep)[0])) for sweep in _sweeps(rle)]
+
+
+@pytest.fixture(scope="module")
+def shape_walks():
+    """_walked of every shape at the default block sizes, walked once."""
+    return {shape: _walked(rle) for shape, rle in _shapes().items()}
+
+
+def _assert_sizing_rule(first_runs, modes):
+    """The blocks of a sweep over first_runs have the rows and modes the
+    sizing rule gives them, with a-count ranges from plain prefix sums."""
+    p = list(itertools.accumulate(first_runs, initial=0))
+    dense, k = True, 1
+    for read_table, g, w in modes:
+        if dense:
+            rows = max(1, min(w, build._DENSE_CELLS * build._BLOCK // w))
+            # a longer span from the same start holds at least as many a's
+            most = max(p[i + k + rows - 1] - p[i] for i in range(w - rows + 1))
+            fewest = min(p[i + k] - p[i] for i in range(w))
+            cells = rows * w - rows * (rows - 1) // 2
+            dense = rows * (most - fewest + 1) <= build._TABLE * cells
+        assert read_table is dense
+        if dense:
+            assert g == rows
+        else:
+            held = g * w - g * (g - 1) // 2
+            assert held >= build._SPARSE_BLOCK or g == w
+            # without its last row it would hold fewer
+            assert held - (w - g + 1) < build._SPARSE_BLOCK
+        k += g
+
+
 def _random_runs(rng, r, first, second):
     """Padded run lists of r pairs, a-runs drawn by first(rng) and b-runs by
     second(rng), with a leading zero a-run or a trailing zero b-run at
@@ -305,44 +340,6 @@ def _random_runs(rng, r, first, second):
 def _is_subsequence(part, whole):
     rest = iter(whole)
     return all(item in rest for item in part)
-
-
-def _prefiltered(first_runs, second):
-    """The block path of build._sweep over these runs: per block, the
-    staircase at its start, its spans as (flat position, row, x, y), the
-    positions _undominated keeps and whether it read the row table; and
-    every survivor, in order."""
-    xs, ys = [], []
-    log, survivors = [], []
-    for bx, by, table in build._blocks(first_runs, second):
-        g, w = bx.shape
-        spans = [(d * w + i, d, int(bx[d, i]), int(by[d, i]))
-                 for d in range(g) for i in range(w - d)]
-        stair = list(zip(xs, ys))
-        keep = build._undominated(
-            bx, by, table, array("Q", xs), array("Q", [*ys, MAX_TEXT_LENGTH])
-        ).tolist()
-        log.append((stair, spans, keep, table is not None))
-        kept = [(int(bx.flat[p]), int(by.flat[p])) for p in keep]
-        survivors += kept
-        build._feed(xs, ys, kept)
-    return log, survivors
-
-
-def _one_row_survivors(first_runs, second):
-    """The survivors of one-row blocks, each row tested against the
-    staircase as it stood at the row's start, from the plain span list."""
-    spans = list(build._spans(first_runs, second))
-    xs, ys = [], []
-    survivors = []
-    start = 0
-    for w in range(len(first_runs), 0, -1):
-        kept = [(x, y) for x, y in spans[start : start + w]
-                if not any(sx >= x and sy <= y for sx, sy in zip(xs, ys))]
-        survivors += kept
-        build._feed(xs, ys, kept)
-        start += w
-    return survivors
 
 
 def _narrow_run(rng):
@@ -385,95 +382,35 @@ class TestBatchedSweep:
     def test_shapes(self, shape):
         rle = _shapes()[shape]
         if shape == "one block":
-            for sweep in _sweeps(rle):
-                assert _block_modes(*sweep) == [(True, rle.pairs, rle.pairs)]
+            assert [modes for _, modes in _walked(rle)] == [
+                [(True, rle.pairs, rle.pairs)]] * 2
         else:
             assert rle.pairs > build._BLOCK
         assert_matches_reference(rle)
 
-    def test_held_blocks_stay_valid(self):
-        # Each block is a fresh array: holding every block past the forming
-        # of the next still gives every span, in (k, i) order.
-        for sweep in _sweeps(_shapes()["coin"]):
-            held = [(x.tolist(), y.tolist(), x.shape)
-                    for x, y, _ in list(build._blocks(*sweep))]
-            cells = [(x[d][i], y[d][i]) for x, y, (g, w) in held
-                     for d in range(g) for i in range(w - d)]
-            assert cells == list(build._spans(*sweep))
+    def test_shapes_reach_every_block_kind(self, shape_walks):
+        walks = itertools.chain(*shape_walks.values())
+        assert set().union(*(_block_kinds(modes) for _, modes in walks)) == _ALL_BLOCK_KINDS
 
-    def test_shapes_reach_every_block_kind(self):
-        kinds = set()
-        for rle in _shapes().values():
-            for sweep in _sweeps(rle):
-                kinds |= _block_kinds(*sweep)
-        assert kinds == _ALL_BLOCK_KINDS
-
-    def test_block_tables_are_the_formed_ranges(self):
-        # A dense block's table is the range of its a-counts, as reducing the
-        # formed block gives it. The sweep turns sparse (None) for good at
-        # the first block whose dense shape, read off the plain span list,
-        # would hold more than _TABLE table cells a span.
+    def test_blocks_follow_the_sizing_rule(self, shape_walks):
+        # While dense, a block takes as many rows as fit in _DENSE_CELLS *
+        # _BLOCK cells (at least one) unless its row table would hold more
+        # than _TABLE cells a span; then the sweep is sparse for good, and a
+        # block takes the fewest rows that hold _SPARSE_BLOCK spans, or all
+        # rows left. runs-long's cuts form only sparse blocks (at 10^5
+        # characters, dense ones too), fair-coin text only dense ones.
+        runs_long = _walked(_runs_long_shape())
+        for first_runs, modes in [*runs_long, *itertools.chain(*shape_walks.values())]:
+            _assert_sizing_rule(first_runs, modes)
         block, (lo, hi), first, second = _PREFILTER_MODES["chunked"]
         rng = random.Random("chunked")
         chunked = _random_runs(rng, rng.randint(lo, hi), first, second)
-        sweeps = [(sweep, (build._BLOCK, build._SPARSE_BLOCK))
-                  for rle in _shapes().values() for sweep in _sweeps(rle)]
-        sweeps += [(sweep, (block, block)) for sweep in _sweeps(chunked)]
-        seen = set()
-        for sweep, (plain, sparse) in sweeps:
-            r = len(sweep[0])
-            spans = iter(build._spans(*sweep))
-            # the a-counts of the spans of each length k, at index k - 1
-            rows = [[next(spans)[0] for _ in range(r - k + 1)] for k in range(1, r + 1)]
-            dense, k = True, 1
-            with block_sizes(plain, sparse):
-                for x, _, table in build._blocks(*sweep):
-                    g, w = x.shape
-                    if dense:
-                        g_dense = max(1, min(w, build._DENSE_CELLS * plain // w))
-                        xs = [v for row in rows[k - 1 : k - 1 + g_dense] for v in row]
-                        spans_dense = g_dense * w - g_dense * (g_dense - 1) // 2
-                        dense = (g_dense * (max(xs) - min(xs) + 1)
-                                 <= build._TABLE * spans_dense)
-                    hi, width = x.max(), int(x.max() - x.min()) + 1
-                    assert table == ((hi, width) if dense else None)
-                    seen.add(dense)
-                    k += g
-            assert k == r + 1
-        assert seen == {True, False}
-
-    def test_undominated_reads_only_its_arguments(self):
-        # Two copies of one block and staircase give the same positions, and
-        # the call changes nothing but a sparse block's cells past a row's
-        # end, which it masks in y with the staircase's sentinel.
-        np = pytest.importorskip("numpy")
-        rng = random.Random(27)
-        seen = set()
-        for mode in sorted(_PREFILTER_MODES):
-            block, (lo, hi), first, second = _PREFILTER_MODES[mode]
-            rle = _random_runs(rng, rng.randint(lo, hi), first, second)
-            with block_sizes(block):
-                for sweep in _sweeps(rle):
-                    xs, ys = [], []
-                    for x, y, table in build._blocks(*sweep):
-                        args = (x, y, table, array("Q", xs),
-                                array("Q", [*ys, MAX_TEXT_LENGTH]))
-                        copies = [copy.deepcopy(args) for _ in range(2)]
-                        keep = [build._undominated(*c).tolist() for c in copies]
-                        assert keep[0] == keep[1]
-                        masked = y.copy()
-                        g, w = y.shape
-                        if table is None:
-                            for d in range(1, g):
-                                masked[d, w - d :] = MAX_TEXT_LENGTH
-                        for c in copies:
-                            assert np.array_equal(c[0], x)
-                            assert np.array_equal(c[1], masked)
-                            assert c[2:] == args[2:]
-                        seen.add((table is None, not np.array_equal(masked, y)))
-                        build._feed(xs, ys, [(int(x.flat[p]), int(y.flat[p]))
-                                             for p in keep[0]])
-        assert {(False, False), (True, True)} <= seen
+        with block_sizes(block):
+            for first_runs, modes in _walked(chunked):
+                _assert_sizing_rule(first_runs, modes)
+        long_modes = {(dense, rows > 1) for _, modes in runs_long for dense, rows, _ in modes}
+        assert (False, True) in long_modes and not any(dense for dense, _ in long_modes)
+        assert all(dense for _, modes in shape_walks["coin"] for dense, _, _ in modes)
 
     @pytest.mark.parametrize("mode", sorted(_PREFILTER_MODES))
     def test_prefilter_is_tight(self, mode):
@@ -487,30 +424,29 @@ class TestBatchedSweep:
         with block_sizes(block):
             for _ in range(12):
                 rle = _random_runs(rng, rng.randint(lo, hi), first, second)
-                for sweep, drop_last in zip(_sweeps(rle), (True, False)):
-                    log, survivors = _prefiltered(*sweep)
-                    for stair, spans, keep, dense in log:
+                for sweep in _sweeps(rle):
+                    blocks, survivors = walk_blocks(*sweep)
+                    for bx, by, table, stair, keep, _ in blocks:
+                        g, w = bx.shape
+                        spans = [(d * w + i, d, int(bx[d, i]), int(by[d, i]))
+                                 for d in range(g) for i in range(w - d)]
                         assert keep == [
                             p for p, d, x, y in spans
                             if not any(sx >= x and sy <= y for sx, sy in stair)
-                            and not (dense and any(
+                            and not (table is not None and any(
                                 d2 < d and x2 >= x and y2 <= y
                                 for _, d2, x2, y2 in spans))
                         ]
-                    if drop_last:
-                        trace = reference_sweep(rle.a_runs, rle.b_runs, True)[2]
-                        inserted = trace.inserted
-                    else:
-                        trace = reference_sweep(rle.b_runs, rle.a_runs, False)[2]
-                        inserted = [(b, a) for a, b in trace.inserted]
+                    # drop_last=True keeps the trace in the sweep's orientation
+                    inserted = reference_sweep(*sweep, True)[2].inserted
                     assert _is_subsequence(inserted, survivors)
-                    one_row = _one_row_survivors(*sweep)
-                    modes = [dense for _, _, _, dense in log]
-                    if all(modes):
+                    modes = _modes(blocks)
+                    one_row = one_row_survivors(*sweep)
+                    if all(dense for dense, _, _ in modes):
                         assert survivors == one_row
                     else:
                         assert _is_subsequence(one_row, survivors)
-                    reached |= _block_kinds(*sweep)
+                    reached |= _block_kinds(modes)
         assert {"dense": "dense rows", "sparse": "masked cells",
                 "switch": "switch", "chunked": "chunked"}[mode] in reached
 
@@ -557,41 +493,9 @@ class TestBatchedSweep:
         runs = [end - start for start, end in zip([0, *cuts], [*cuts, n])]
         rle = RunLengthEncoding(tuple(runs[0::2]), tuple(runs[1::2]))
         assert rle.total_a + rle.total_b == n
-        for sweep in _sweeps(rle):
-            assert "chunked" in _block_kinds(*sweep)
+        for _, modes in _walked(rle):
+            assert "chunked" in _block_kinds(modes)
         assert_matches_reference(rle)
-
-    def test_benchmark_shapes_pick_their_prefilter(self):
-        # 2,000 random runs over 10^6 characters, as bench/run.py's runs-long
-        # text is cut, form no dense block in either sweep (at 10^5
-        # characters the same cuts form dense ones); fair-coin text forms no
-        # sparse block.
-        for sweep in _sweeps(_runs_long_shape()):
-            assert not any(dense for dense, _, _ in _block_modes(*sweep))
-        for sweep in _sweeps(_shapes()["coin"]):
-            assert all(dense for dense, _, _ in _block_modes(*sweep))
-
-    def test_sparse_blocks_group_rows_to_their_budget(self):
-        # Sparse blocks gather whole rows until they hold _SPARSE_BLOCK
-        # spans: every block but the last holds at least that many, and
-        # without its last row it would hold fewer. Dense blocks never read
-        # the sparse budget.
-        budget = build._SPARSE_BLOCK
-        for sweep in _sweeps(_runs_long_shape()):
-            modes = _block_modes(*sweep)
-            assert sum(rows for _, rows, _ in modes) == len(sweep[0])
-            assert any(rows > 1 for _, rows, _ in modes)
-            for i, (dense, rows, w) in enumerate(modes):
-                spans = rows * w - rows * (rows - 1) // 2
-                assert not dense
-                assert spans >= budget or i == len(modes) - 1
-                assert spans - (w - rows + 1) < budget
-            with mock.patch.object(build, "_SPARSE_BLOCK", 2 * budget):
-                assert len(_block_modes(*sweep)) < len(modes)
-        for sweep in _sweeps(_shapes()["coin"]):
-            modes = _block_modes(*sweep)
-            with mock.patch.object(build, "_SPARSE_BLOCK", 1):
-                assert _block_modes(*sweep) == modes
 
     @given(run_lists(), st.sampled_from([1, 2, 3, 8, 64]),
            st.sampled_from([1, 2, 3, 8, 64]))
@@ -611,8 +515,8 @@ class TestBatchedSweep:
                     r = rng.randint(1, 60)
                     rle = _random_runs(rng, r, _run_list_run, _run_list_run)
                     if rle.pairs * (rle.pairs + 1) // 2 > block:
-                        for sweep in _sweeps(rle):
-                            kinds |= _block_kinds(*sweep)
+                        for _, modes in _walked(rle):
+                            kinds |= _block_kinds(modes)
                         assert_matches_reference(rle)
         assert kinds == _ALL_BLOCK_KINDS
 
