@@ -300,6 +300,12 @@ def shape_walks():
     return {shape: _walked(rle) for shape, rle in _shapes().items()}
 
 
+@pytest.fixture(scope="module")
+def runs_long_walks():
+    """_walked of the runs-long cuts at the default block sizes, walked once."""
+    return _walked(_runs_long_shape())
+
+
 def _assert_sizing_rule(first_runs, modes):
     """The blocks of a sweep over first_runs have the rows and modes the
     sizing rule gives them, with a-count ranges from plain prefix sums."""
@@ -392,25 +398,51 @@ class TestBatchedSweep:
         walks = itertools.chain(*shape_walks.values())
         assert set().union(*(_block_kinds(modes) for _, modes in walks)) == _ALL_BLOCK_KINDS
 
-    def test_blocks_follow_the_sizing_rule(self, shape_walks):
-        # While dense, a block takes as many rows as fit in _DENSE_CELLS *
-        # _BLOCK cells (at least one) unless its row table would hold more
-        # than _TABLE cells a span; then the sweep is sparse for good, and a
-        # block takes the fewest rows that hold _SPARSE_BLOCK spans, or all
-        # rows left. runs-long's cuts form only sparse blocks (at 10^5
-        # characters, dense ones too), fair-coin text only dense ones.
-        runs_long = _walked(_runs_long_shape())
-        for first_runs, modes in [*runs_long, *itertools.chain(*shape_walks.values())]:
-            _assert_sizing_rule(first_runs, modes)
+    def test_block_tables_are_the_formed_ranges(self, shape_walks):
+        # A dense block's table is its formed range (walk_blocks checks it on
+        # every dense block). While dense, a block takes as many rows as fit
+        # in _DENSE_CELLS * _BLOCK cells (at least one) unless its row table
+        # would hold more than _TABLE cells a span; then the sweep is sparse
+        # for good. The blocks of each sweep cover all its rows.
         block, (lo, hi), first, second = _PREFILTER_MODES["chunked"]
         rng = random.Random("chunked")
         chunked = _random_runs(rng, rng.randint(lo, hi), first, second)
-        with block_sizes(block):
-            for first_runs, modes in _walked(chunked):
+        seen = set()
+
+        def check(walks):
+            for first_runs, modes in walks:
                 _assert_sizing_rule(first_runs, modes)
-        long_modes = {(dense, rows > 1) for _, modes in runs_long for dense, rows, _ in modes}
-        assert (False, True) in long_modes and not any(dense for dense, _ in long_modes)
+                assert sum(rows for _, rows, _ in modes) == len(first_runs)
+                seen.update(dense for dense, _, _ in modes)
+
+        check(itertools.chain(*shape_walks.values()))
+        with block_sizes(block):
+            check(_walked(chunked))
+        assert seen == {True, False}
+
+    def test_benchmark_shapes_pick_their_prefilter(self, runs_long_walks, shape_walks):
+        # 2,000 random runs over 10^6 characters, as bench/run.py's runs-long
+        # text is cut, form no dense block in either sweep (at 10^5
+        # characters the same cuts form dense ones); fair-coin text forms no
+        # sparse block.
+        assert not any(dense for _, modes in runs_long_walks for dense, _, _ in modes)
         assert all(dense for _, modes in shape_walks["coin"] for dense, _, _ in modes)
+
+    def test_sparse_blocks_group_rows_to_their_budget(self, runs_long_walks, shape_walks):
+        # A sparse block takes the fewest rows that hold _SPARSE_BLOCK spans,
+        # or all rows left, so a doubled budget forms fewer blocks. Dense
+        # blocks never read the sparse budget.
+        rle = _runs_long_shape()
+        for first_runs, modes in runs_long_walks:
+            _assert_sizing_rule(first_runs, modes)
+            assert sum(rows for _, rows, _ in modes) == len(first_runs)
+            assert any(rows > 1 for _, rows, _ in modes)
+        with mock.patch.object(build, "_SPARSE_BLOCK", 2 * build._SPARSE_BLOCK):
+            doubled = _walked(rle)
+        assert all(len(more) < len(modes)
+                   for (_, more), (_, modes) in zip(doubled, runs_long_walks))
+        with mock.patch.object(build, "_SPARSE_BLOCK", 1):
+            assert _walked(_shapes()["coin"]) == shape_walks["coin"]
 
     @pytest.mark.parametrize("mode", sorted(_PREFILTER_MODES))
     def test_prefilter_is_tight(self, mode):
